@@ -15,26 +15,22 @@ import io
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import astuple, fields
 from functools import partial
 from pathlib import Path
 
 import numpy as np
 
 from .censoring import fit_censored_cost, fit_cost_unweighted
-from .config import (
-    PropensityScenario,
-    load_adjust_config,
-    load_scenarios,
-    load_sweep_config,
-)
+from .config import load_adjust_config, load_scenarios, load_sweep_config
 from .data import load_dataset, save_dataset, zero_cost_shift
 from .diagnostics import WITHIN_STRATUM_THRESHOLD, correlation_report
 from .errors import ConfigError, CostSenseError, DidNotConvergeError
 from .sensitivity import ApparentEffect, sweep, z_quantile
 from .simulation import (
-    CDScenario,
+    ReplicationRecord,
+    SimulationResult,
     aggregate,
-    propensity_correlation_study,
     run_replication,
     run_replications,
     synthetic_cohort,
@@ -243,19 +239,9 @@ def _scenario_records(scenario, replications: int, workers: int, variance: str,
         return list(pool.map(worker, range(replications), chunksize=chunk))
 
 
-_SUMMARY_COLUMNS = [
-    "scenario", "kind", "n", "replications", "converged", "convergence_failures",
-    "regenerated", "mean_beta_unadjusted", "mean_beta_adjusted",
-    "bias_unadjusted", "bias_adjusted", "coverage_unadjusted",
-    "coverage_adjusted", "mc_standard_error", "corr_treated", "corr_control",
-    "max_within_stratum_corr",
-]
-
-_REPLICATION_COLUMNS = [
-    "scenario", "replication", "converged", "beta_unadjusted", "beta_adjusted",
-    "se", "covered_unadjusted", "covered_adjusted", "corr_treated",
-    "corr_control", "regenerated", "beta_true_model",
-]
+# CSV columns follow the result dataclasses' fields, in declaration order.
+_SUMMARY_COLUMNS = ["scenario", "kind", "n"] + [f.name for f in fields(SimulationResult)]
+_REPLICATION_COLUMNS = ["scenario"] + [f.name for f in fields(ReplicationRecord)]
 
 
 def cmd_simulate(args) -> int:
@@ -273,57 +259,18 @@ def cmd_simulate(args) -> int:
     replication_rows = []
     for named in scenarios:
         scenario = named.scenario
-        if isinstance(scenario, PropensityScenario):
-            result = propensity_correlation_study(
-                scenario.correlation_model, scenario.n, scenario.seed,
-                replications=args.reps, gamma=scenario.gamma,
-            )
-            summary_rows.append([
-                named.name, "propensity", result.n, result.replications,
-                result.replications - result.convergence_failures,
-                result.convergence_failures, None,
-                result.mean_beta_unadjusted, result.mean_beta_adjusted,
-                result.bias_unadjusted, result.bias_adjusted, None, None,
-                result.mc_standard_error, result.corr_treated,
-                result.corr_control, None,
-            ])
-            human_rows.append([
-                named.name, "propensity",
-                _f3(result.mean_beta_unadjusted), _f3(result.mean_beta_adjusted),
-                _f3(result.bias_unadjusted), _f3(result.bias_adjusted),
-                "", "", str(result.convergence_failures),
-            ])
-            continue
-
-        kind = "cd" if isinstance(scenario, CDScenario) else "ci"
-        n = scenario.n if kind == "cd" else 2 * scenario.n_per_arm
         records = _scenario_records(scenario, args.reps, args.workers, args.variance,
                                     level)
         result = aggregate(scenario, records, estimator=args.estimator)
-        summary_rows.append([
-            named.name, kind, n, result.replications, result.converged,
-            result.convergence_failures, result.regenerated,
-            result.mean_beta_unadjusted, result.mean_beta_adjusted,
-            result.bias_unadjusted, result.bias_adjusted,
-            result.coverage_unadjusted, result.coverage_adjusted,
-            result.mc_standard_error, result.corr_treated, result.corr_control,
-            result.max_within_stratum_corr,
-        ])
+        summary_rows.append([named.name, scenario.kind, scenario.n, *astuple(result)])
         human_rows.append([
-            named.name, kind,
+            named.name, scenario.kind,
             _f3(result.mean_beta_unadjusted), _f3(result.mean_beta_adjusted),
             _f3(result.bias_unadjusted), _f3(result.bias_adjusted),
             _f3(result.coverage_unadjusted), _f3(result.coverage_adjusted),
             str(result.convergence_failures),
         ])
-        for record in records:
-            replication_rows.append([
-                named.name, record.replication, record.converged,
-                record.beta_unadjusted, record.beta_adjusted, record.se,
-                record.covered_unadjusted, record.covered_adjusted,
-                record.corr_treated, record.corr_control, record.regenerated,
-                record.beta_true_model,
-            ])
+        replication_rows.extend([named.name, *astuple(record)] for record in records)
 
     if args.rep_output:
         Path(args.rep_output).write_text(
@@ -436,7 +383,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_output_flags(sweep_cmd)
     sweep_cmd.set_defaults(handler=cmd_sweep)
 
-    simulate = commands.add_parser("simulate", help="run Monte Carlo scenario studies")
+    simulate = commands.add_parser(
+        "simulate", help="run Monte Carlo scenario studies",
+        description="Run the ci, cd and propensity scenarios of an INI file. Every kind runs "
+                    "through one replication pipeline, so --workers, --estimator, --variance, "
+                    "--level and --rep-output apply to all of them.",
+    )
     simulate.add_argument("--input", required=True, help="INI file with [scenario NAME] sections")
     simulate.add_argument("--seed", type=int, required=True, help="master seed")
     simulate.add_argument("--reps", type=int, default=1000,

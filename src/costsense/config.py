@@ -10,9 +10,12 @@ listed parameter varying fastest, and sections contribute rows in file
 order.
 
 A scenario file holds ``[scenario NAME]`` sections, each with a ``kind``
-of ``ci``, ``cd``, or ``propensity`` plus that kind's parameters. Seeds
-are deliberately not file keys: the caller supplies one so a scenario
-file describes the study, not the draw.
+of ``ci``, ``cd``, or ``propensity`` plus that kind's parameters. Each
+section becomes the matching scenario of :mod:`costsense.simulation`, and
+all three kinds run through the same replication pipeline, so every
+simulate option applies to each. Scenario parameters are validated here,
+before any replication runs. Seeds are deliberately not file keys: the
+caller supplies one so a scenario file describes the study, not the draw.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import ConfigError, InputNotFoundError
+from .errors import ConfigError, CorrelationModelError, InputNotFoundError
 from .sensitivity import (
     ApparentEffect,
     BernoulliParams,
@@ -35,17 +38,7 @@ from .sensitivity import (
     PoissonParams,
     gamma_arms_from_mean_ratio,
 )
-from .simulation import CDScenario, CIScenario
-
-
-@dataclass(frozen=True)
-class PropensityScenario:
-    """Arguments for a propensity-score correlation study."""
-
-    correlation_model: object
-    n: int
-    seed: int = 0
-    gamma: float = 0.5
+from .simulation import CDScenario, CIScenario, PropensityScenario
 
 
 @dataclass(frozen=True)
@@ -172,10 +165,13 @@ def parse_apparent(parser: configparser.ConfigParser) -> ApparentEffect | None:
     )
 
 
-_GRID_PARAM_KEYS = {
+# Required and optional parameter keys per family for grid, confounder and CI
+# scenario sections; gamma grids may give mean_ratio + var_over_mean instead.
+_FAMILY_KEYS = {
     ConfounderFamily.BERNOULLI: ({"prevalence"}, set()),
     ConfounderFamily.NORMAL: ({"mean"}, {"sd"}),
     ConfounderFamily.POISSON: ({"rate"}, set()),
+    ConfounderFamily.GAMMA: ({"shape", "scale"}, set()),
 }
 _GAMMA_DIRECT = {"shape", "scale"}
 _GAMMA_RATIO = {"mean_ratio", "var_over_mean"}
@@ -195,7 +191,7 @@ def _grid_keys(section: str, family: ConfounderFamily, present: set[str]) -> set
             f"[{section}]: gamma grids take shape + scale, or mean_ratio + var_over_mean; "
             f"got: {', '.join(sorted(params)) or 'nothing'}"
         )
-    required, optional = _GRID_PARAM_KEYS[family]
+    required, optional = _FAMILY_KEYS[family]
     if not required <= params or not params <= required | optional:
         expected = " + ".join(sorted(required | optional))
         raise ConfigError(
@@ -350,16 +346,9 @@ def load_adjust_config(path) -> tuple[ApparentEffect | None, ConfounderModel, di
 
 _SCENARIO_PREFIX = "scenario"
 
-_CI_FAMILY_KEYS = {
-    ConfounderFamily.BERNOULLI: ({"prevalence"}, set()),
-    ConfounderFamily.NORMAL: ({"mean"}, {"sd"}),
-    ConfounderFamily.POISSON: ({"rate"}, set()),
-    ConfounderFamily.GAMMA: ({"shape", "scale"}, set()),
-}
-
 
 def _scenario_params(section: str, family: ConfounderFamily, mapping) -> tuple:
-    required, optional = _CI_FAMILY_KEYS[family]
+    required, optional = _FAMILY_KEYS[family]
     pairs = {}
     for key in required:
         pairs[key] = _pair(section, key, _require(section, mapping, key))
@@ -384,7 +373,7 @@ def _scenario_params(section: str, family: ConfounderFamily, mapping) -> tuple:
 
 
 def _parse_ci_scenario(section: str, mapping, family: ConfounderFamily, seed: int) -> CIScenario:
-    required, optional = _CI_FAMILY_KEYS[family]
+    required, optional = _FAMILY_KEYS[family]
     allowed = {"kind", "family", "n_per_arm", "gamma", "censor_prob",
                "alpha", "beta_true", "theta_z"} | required | optional
     _reject_unknown(section, mapping, allowed)
@@ -435,10 +424,7 @@ def _parse_propensity_scenario(section: str, mapping, seed: int) -> PropensitySc
     if "model" in mapping:
         correlation_model: object = mapping["model"].strip()
     else:
-        values = _scalar_list(section, "correlations", mapping["correlations"])
-        if len(values) != 3:
-            raise ConfigError(f"[{section}]: correlations needs exactly 3 values, got {len(values)}")
-        correlation_model = tuple(values)
+        correlation_model = tuple(_scalar_list(section, "correlations", mapping["correlations"]))
     try:
         return PropensityScenario(
             correlation_model=correlation_model,
@@ -448,6 +434,8 @@ def _parse_propensity_scenario(section: str, mapping, seed: int) -> PropensitySc
         )
     except (ValueError, TypeError) as err:
         raise ConfigError(f"[{section}]: {err}") from None
+    except CorrelationModelError as err:
+        raise CorrelationModelError(f"[{section}]: {err}") from None
 
 
 def load_scenarios(path, seed: int) -> list[NamedScenario]:

@@ -26,17 +26,6 @@ from .errors import (
 ROLE_NAMES = ("cost", "time", "event", "treat")
 
 
-@dataclass(frozen=True)
-class CostRecord:
-    """One subject: observed cost, follow-up time, event flag, arm, covariates."""
-
-    cost: float
-    time: float
-    uncensored: bool
-    treatment: int
-    covariates: tuple[float, ...]
-
-
 @dataclass(frozen=True, eq=False)
 class CostDataset:
     """Immutable per-subject cost data held as column arrays.
@@ -113,40 +102,6 @@ class CostDataset:
     @property
     def censoring_rate(self) -> float:
         return float(np.mean(~self.uncensored))
-
-    def record(self, i: int) -> CostRecord:
-        return CostRecord(
-            cost=float(self.cost[i]),
-            time=float(self.time[i]),
-            uncensored=bool(self.uncensored[i]),
-            treatment=int(self.treatment[i]),
-            covariates=tuple(float(v) for v in self.covariates[i]),
-        )
-
-    @property
-    def records(self) -> list[CostRecord]:
-        return [self.record(i) for i in range(len(self))]
-
-    def __iter__(self):
-        return iter(self.records)
-
-    @classmethod
-    def from_records(
-        cls, records: list[CostRecord], covariate_names: tuple[str, ...] | None = None
-    ) -> "CostDataset":
-        if not records:
-            raise EmptyDatasetError("no records supplied")
-        k = len(records[0].covariates)
-        if covariate_names is None:
-            covariate_names = tuple(f"z{j + 1}" for j in range(k))
-        return cls(
-            cost=np.array([r.cost for r in records]),
-            time=np.array([r.time for r in records]),
-            uncensored=np.array([r.uncensored for r in records]),
-            treatment=np.array([r.treatment for r in records]),
-            covariates=np.array([r.covariates for r in records]).reshape(len(records), k),
-            covariate_names=covariate_names,
-        )
 
 
 def _parse_number(token: str, row: int, column: str) -> float:

@@ -85,12 +85,14 @@ class FitResult:
         return np.sqrt(np.diag(self.covariance))
 
 
-def _canonical_order(response, design, weights) -> np.ndarray:
+def _canonical_rows(spec: DesignSpec):
+    """Response, design and weights of ``spec`` in canonical row order."""
     # Lexicographic row order (response first) fixes the summation order,
     # making every reduction invariant to input permutation.
-    keys = [weights] + [design[:, j] for j in range(design.shape[1] - 1, -1, -1)]
-    keys.append(response)
-    return np.lexsort(tuple(keys))
+    keys = [spec.weights] + [spec.design[:, j] for j in range(spec.design.shape[1] - 1, -1, -1)]
+    keys.append(spec.response)
+    order = np.lexsort(tuple(keys))
+    return spec.response[order], np.ascontiguousarray(spec.design[order]), spec.weights[order]
 
 
 def _family_terms(family: Family, eta: np.ndarray, y: np.ndarray):
@@ -141,10 +143,7 @@ def irls_fit(
     SingularDesignError
         The design is rank deficient on the positively weighted rows.
     """
-    order = _canonical_order(spec.response, spec.design, spec.weights)
-    y = spec.response[order]
-    X = np.ascontiguousarray(spec.design[order])
-    w = spec.weights[order]
+    y, X, w = _canonical_rows(spec)
 
     pos = w > 0
     n_eff = int(np.count_nonzero(pos))
@@ -226,10 +225,7 @@ def score_matrices(spec: DesignSpec, coefficients: np.ndarray):
     Bread is the derivative of the score; meat is the sum of outer products
     of the per-record weighted scores.
     """
-    order = _canonical_order(spec.response, spec.design, spec.weights)
-    y = spec.response[order]
-    X = np.ascontiguousarray(spec.design[order])
-    w = spec.weights[order]
+    y, X, w = _canonical_rows(spec)
     eta = X @ np.asarray(coefficients, dtype=np.float64)
     _, resid, info = _family_terms(spec.family, eta, y)
     bread = (X * (w * info)[:, None]).T @ X
@@ -252,10 +248,7 @@ def sandwich_covariance(spec: DesignSpec, coefficients: np.ndarray) -> np.ndarra
 def model_covariance(spec: DesignSpec, coefficients: np.ndarray) -> np.ndarray:
     """Model-based covariance: inverse bread, with a moment dispersion
     estimate for the ``LOG_GAMMA`` family."""
-    order = _canonical_order(spec.response, spec.design, spec.weights)
-    y = spec.response[order]
-    X = np.ascontiguousarray(spec.design[order])
-    w = spec.weights[order]
+    y, X, w = _canonical_rows(spec)
     eta = X @ np.asarray(coefficients, dtype=np.float64)
     _, resid, info = _family_terms(spec.family, eta, y)
     bread = (X * (w * info)[:, None]).T @ X

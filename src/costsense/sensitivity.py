@@ -119,9 +119,15 @@ _PARAM_TYPES = {
 }
 
 
-def params_type(family: ConfounderFamily) -> type:
-    """Parameter dataclass used by a confounder family."""
-    return _PARAM_TYPES[family]
+def check_params(family: ConfounderFamily, params, owner: str = "confounder",
+                 arm: str | None = None) -> None:
+    """Raise TypeError unless ``params`` is ``family``'s parameter dataclass."""
+    expected = _PARAM_TYPES[family]
+    if not isinstance(params, expected):
+        where = f" for the {arm} arm" if arm else ""
+        raise TypeError(
+            f"{family.value} {owner} needs {expected.__name__}{where}, got {type(params).__name__}"
+        )
 
 
 def log_mgf(family: ConfounderFamily, params: FamilyParams, gamma: float) -> float:
@@ -131,9 +137,7 @@ def log_mgf(family: ConfounderFamily, params: FamilyParams, gamma: float) -> flo
     outside the family's domain (only the Gamma family is restricted, to
     ``scale * gamma < 1``).
     """
-    expected = _PARAM_TYPES[family]
-    if not isinstance(params, expected):
-        raise TypeError(f"{family.value} confounder needs {expected.__name__}, got {type(params).__name__}")
+    check_params(family, params)
     return params.log_mgf(float(gamma))
 
 
@@ -151,13 +155,8 @@ class ConfounderModel:
     effect_treated: float
 
     def __post_init__(self):
-        expected = _PARAM_TYPES[self.family]
         for arm, params in (("control", self.params_control), ("treated", self.params_treated)):
-            if not isinstance(params, expected):
-                raise TypeError(
-                    f"{self.family.value} confounder needs {expected.__name__} for the "
-                    f"{arm} arm, got {type(params).__name__}"
-                )
+            check_params(self.family, params, arm=arm)
 
     def correction(self) -> float:
         """Log-scale shift removed from the apparent treatment coefficient."""

@@ -1,13 +1,19 @@
 """Monte Carlo studies of the correction and synthetic cohort generation.
 
-Two scenario kinds drive the studies. In a conditionally independent
+Three scenario kinds drive the studies. In a conditionally independent
 (CI) scenario the unmeasured covariate U is drawn per arm from the
 hypothesized family, so the correction's assumption holds exactly and the
 adjusted estimator should be unbiased. In a conditionally dependent (CD)
 scenario U is drawn given a measured covariate Z and treatment follows a
 logistic model in both, so the assumption is violated by a controllable
-amount and the residual bias of the adjustment can be mapped out.
+amount and the residual bias of the adjustment can be mapped out. In a
+propensity scenario U is jointly normal with three measured covariates and
+treatment depends on those alone; the within-arm correlation of U with the
+fitted propensity score measures how far the assumption fails.
 
+Every kind feeds one record stream: :func:`run_replication` turns a
+scenario and a replication index into a :class:`ReplicationRecord`, and
+:func:`aggregate` summarizes any kind's records the same way.
 Replications are independent work units: every random draw comes from a
 counter-based generator keyed by (seed, replication, stream), so a study
 produces identical results whether replications run serially or across
@@ -25,7 +31,8 @@ from scipy.special import expit, gammaln, roots_genlaguerre, roots_hermitenorm
 
 from .censoring import ipw_weights, fit_censored_cost
 from .data import CostDataset
-from .errors import CorrelationModelError, EmptyFitError, EstimationError
+from .diagnostics import _corr
+from .errors import CorrelationModelError, DidNotConvergeError, EmptyFitError, EstimationError
 from .glm import DesignSpec, Family, irls_fit
 from .sensitivity import (
     BernoulliParams,
@@ -35,7 +42,7 @@ from .sensitivity import (
     GammaParams,
     NormalParams,
     PoissonParams,
-    params_type,
+    check_params,
     z_quantile,
 )
 
@@ -62,6 +69,8 @@ class CIScenario:
     when the cost is uncensored and uniform on [0, 10] otherwise.
     """
 
+    kind = "ci"
+
     family: ConfounderFamily
     params_control: FamilyParams
     params_treated: FamilyParams
@@ -74,19 +83,18 @@ class CIScenario:
     seed: int = 0
 
     def __post_init__(self):
-        expected = params_type(self.family)
         for arm, params in (("control", self.params_control), ("treated", self.params_treated)):
-            if not isinstance(params, expected):
-                raise TypeError(
-                    f"{self.family.value} scenario needs {expected.__name__} for the "
-                    f"{arm} arm, got {type(params).__name__}"
-                )
+            check_params(self.family, params, "scenario", arm)
         if self.n_per_arm < 4:
             raise ValueError(f"n_per_arm must be at least 4, got {self.n_per_arm}")
         if not 0.0 <= self.censor_prob < 1.0:
             raise ValueError(f"censor_prob must lie in [0, 1), got {self.censor_prob}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
+    @property
+    def n(self) -> int:
+        return 2 * self.n_per_arm
 
 
 @dataclass(frozen=True)
@@ -99,6 +107,8 @@ class CDScenario:
     Bernoulli with success expit(phi1 + phi2*z + phi3*u). Costs and
     censoring follow the same laws as in CIScenario.
     """
+
+    kind = "cd"
 
     family: ConfounderFamily
     phi1: float
@@ -119,6 +129,73 @@ class CDScenario:
             raise ValueError(f"censor_prob must lie in [0, 1), got {self.censor_prob}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+
+
+PROPENSITY_MODELS = {
+    "model1": (0.1, 0.1, 0.1),
+    "model2": (0.3, -0.4, 0.0),
+}
+
+# Slopes sum to zero so they are orthogonal to model1's equal correlations:
+# cov(U, index) = 0 there, making the marginal correction vanish, while
+# model2 keeps cov = 0.3*b1 - 0.4*b2 < 0 and a ~2% adjusted bias.
+_PROPENSITY_INTERCEPT = -1.2
+_PROPENSITY_SLOPES = (0.6, 0.6, -1.2)
+
+
+@dataclass(frozen=True)
+class PropensityScenario:
+    """Treatment driven by measured covariates that U correlates with.
+
+    (U, Z1, Z2, Z3) is 4-variate normal with unit variances, means one,
+    mutually independent Z's, and the U-Z correlations of
+    ``correlation_model`` (``"model1"``, ``"model2"``, or a 3-sequence).
+    Treatment is Bernoulli with success expit(-1.2 + 0.6 Z1 + 0.6 Z2 -
+    1.2 Z3); costs are Gamma with mean ``exp(5 + X + gamma*U + Z1 + Z2 +
+    Z3)`` and variance equal to it, and nothing is censored. Records carry
+    the within-arm correlations of U with the fitted propensity score.
+
+    Validation resolves ``correlations`` (the three U-Z correlations) and
+    the Cholesky factor of the joint law once, as plain attributes.
+    """
+
+    kind = "propensity"
+    family = ConfounderFamily.NORMAL
+    beta_true = 1.0
+
+    correlation_model: object
+    n: int
+    seed: int = 0
+    gamma: float = 0.5
+
+    def __post_init__(self):
+        if isinstance(self.correlation_model, str):
+            try:
+                correlations = PROPENSITY_MODELS[self.correlation_model]
+            except KeyError:
+                options = ", ".join(sorted(PROPENSITY_MODELS))
+                raise CorrelationModelError(
+                    f"unknown correlation model {self.correlation_model!r}; expected one of {options}"
+                ) from None
+        else:
+            correlations = tuple(float(c) for c in self.correlation_model)
+            if len(correlations) != 3:
+                raise CorrelationModelError(
+                    f"need exactly 3 correlations between U and Z, got {len(correlations)}"
+                )
+        if self.n < 100:
+            raise ValueError(f"n must be at least 100, got {self.n}")
+
+        matrix = np.eye(4)
+        matrix[0, 1:] = matrix[1:, 0] = correlations
+        try:
+            chol = np.linalg.cholesky(matrix)
+        except np.linalg.LinAlgError:
+            raise CorrelationModelError(
+                f"correlations {correlations} do not form a positive definite joint law"
+            ) from None
+        object.__setattr__(self, "correlations", correlations)
+        object.__setattr__(self, "_chol", chol)
 
 
 def _sample_confounder(
@@ -207,10 +284,53 @@ def generate_cd_dataset(scenario: CDScenario, replication: int) -> tuple[CostDat
     return dataset, u
 
 
+def _generate_propensity(scenario: PropensityScenario, replication: int) -> tuple[CostDataset, np.ndarray]:
+    n = scenario.n
+    rng = _rng(scenario.seed, replication, 0)
+    draws = 1.0 + rng.standard_normal((n, 4)) @ scenario._chol.T
+    u, z = draws[:, 0], draws[:, 1:]
+    assign = expit(_PROPENSITY_INTERCEPT + z @ np.asarray(_PROPENSITY_SLOPES))
+    x = (rng.random(n) < assign).astype(float)
+    mean = np.exp(5.0 + x + scenario.gamma * u + z.sum(axis=1))
+    cost = rng.gamma(mean, scale=1.0)
+    dataset = CostDataset(
+        cost=cost,
+        time=np.ones(n),
+        uncensored=np.ones(n, dtype=bool),
+        treatment=x,
+        covariates=z,
+        covariate_names=("z1", "z2", "z3"),
+    )
+    return dataset, u
+
+
+def _fitted_propensity(dataset: CostDataset) -> np.ndarray:
+    """Logit propensity score of treatment on the covariates.
+
+    Raises EstimationError on a single-arm draw or a score fit that fails.
+    """
+    if dataset.treatment.min() == dataset.treatment.max():
+        raise EmptyFitError("draw left a treatment arm empty")
+    design = np.column_stack([np.ones(len(dataset)), dataset.covariates])
+    fit = irls_fit(DesignSpec(response=dataset.treatment, design=design,
+                              weights=np.ones(len(dataset)), family=Family.LOGIT_BINOMIAL))
+    if not fit.converged:
+        raise DidNotConvergeError("propensity score fit did not converge")
+    return expit(design @ fit.coefficients)
+
+
 @lru_cache(maxsize=None)
 def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
     nodes, weights = roots_hermitenorm(_QUAD_NODES)
     return nodes, weights / weights.sum()
+
+
+def _arm_moments(joint: np.ndarray, arm: np.ndarray, u: np.ndarray) -> tuple[float, float]:
+    """First two moments of U under quadrature weights ``joint * arm``."""
+    mass = float((joint * arm).sum())
+    m1 = float((joint * arm * u).sum()) / mass
+    m2 = float((joint * arm * u * u).sum()) / mass
+    return m1, m2
 
 
 @lru_cache(maxsize=None)
@@ -249,9 +369,7 @@ def _cd_marginal_params(
         joint = z_w[:, None] * z_w[None, :]
         out = []
         for arm in arm_weights(u):
-            mass = float((joint * arm).sum())
-            m1 = float((joint * arm * u).sum()) / mass
-            m2 = float((joint * arm * u * u).sum()) / mass
+            m1, m2 = _arm_moments(joint, arm, u)
             out.append(NormalParams(mean=m1, sd=math.sqrt(m2 - m1 * m1)))
         return out[0], out[1]
 
@@ -274,29 +392,57 @@ def _cd_marginal_params(
     joint = z_w[:, None] * t_w[None, :]
     out = []
     for arm in arm_weights(u):
-        mass = float((joint * arm).sum())
-        m1 = float((joint * arm * u).sum()) / mass
-        m2 = float((joint * arm * u * u).sum()) / mass
+        m1, m2 = _arm_moments(joint, arm, u)
         var = m2 - m1 * m1
         out.append(GammaParams(shape=m1 * m1 / var, scale=var / m1))
+    return out[0], out[1]
+
+
+@lru_cache(maxsize=None)
+def _propensity_arm_moments(correlations: tuple[float, float, float]) -> tuple[NormalParams, NormalParams]:
+    """Normal moments of U within each arm when treatment depends on Z only.
+
+    U and the treatment index s = intercept + slopes . Z are jointly
+    normal, so E[U | s] is linear and the within-arm moments reduce to
+    one-dimensional integrals over s, done by Gauss-Hermite quadrature.
+    """
+    slope_vec = np.asarray(_PROPENSITY_SLOPES)
+    corr_vec = np.asarray(correlations)
+    index_var = float(slope_vec @ slope_vec)
+    index_mean = _PROPENSITY_INTERCEPT + float(slope_vec.sum())
+    cov_us = float(slope_vec @ corr_vec)
+    nodes, weights = _gauss_hermite()
+    s = index_mean + math.sqrt(index_var) * nodes
+    mean_given = 1.0 + (cov_us / index_var) * (s - index_mean)
+    var_given = 1.0 - cov_us * cov_us / index_var
+    take = expit(s)
+    out = []
+    for arm in (1.0 - take, take):
+        mass = float(weights @ arm)
+        m1 = float(weights @ (arm * mean_given)) / mass
+        m2 = float(weights @ (arm * (var_given + mean_given * mean_given))) / mass
+        out.append(NormalParams(mean=m1, sd=math.sqrt(m2 - m1 * m1)))
     return out[0], out[1]
 
 
 def confounder_for_scenario(scenario) -> ConfounderModel:
     """The confounder model a study should hand to the correction.
 
-    CI scenarios use their own generative parameters directly. CD
-    scenarios use the marginal per-arm laws of U implied by the generative
-    model (see :func:`_cd_marginal_params`); the correction is then the
-    best the method can do, and its residual bias measures the cost of the
-    violated independence assumption.
+    CI scenarios use their own generative parameters directly. CD and
+    propensity scenarios use the marginal per-arm laws of U implied by the
+    generative model (see :func:`_cd_marginal_params` and
+    :func:`_propensity_arm_moments`); the correction is then the best the
+    method can do, and its residual bias measures the cost of the violated
+    independence assumption.
     """
-    if isinstance(scenario, CDScenario):
+    if isinstance(scenario, CIScenario):
+        control, treated = scenario.params_control, scenario.params_treated
+    elif isinstance(scenario, CDScenario):
         control, treated = _cd_marginal_params(
             scenario.family, scenario.phi1, scenario.phi2, scenario.phi3
         )
     else:
-        control, treated = scenario.params_control, scenario.params_treated
+        control, treated = _propensity_arm_moments(scenario.correlations)
     return ConfounderModel(
         family=scenario.family,
         params_control=control,
@@ -341,35 +487,36 @@ class SimulationResult:
     max_within_stratum_corr: float
 
 
-def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
-    if a.size < 3 or np.std(a) == 0.0 or np.std(b) == 0.0:
-        return float("nan")
-    return float(np.corrcoef(a, b)[0, 1])
-
-
 def run_replication(scenario, replication: int, fit_true_model: bool = False,
                     variance: str = "sandwich", level: float = 0.95) -> ReplicationRecord:
     """Generate one replication, fit, correct, and score coverage.
 
     ``level`` sets the nominal confidence level whose intervals the
-    coverage indicators score.
+    coverage indicators score. CD records carry the within-arm
+    correlations of U with Z, propensity records those of U with the
+    fitted propensity score. A failed fit, or a propensity draw that
+    leaves an arm empty, gives a record with ``converged=False``.
     """
-    if isinstance(scenario, CDScenario):
+    regenerated = 0
+    if isinstance(scenario, CIScenario):
+        dataset, u = generate_ci_dataset(scenario, replication)
+    elif isinstance(scenario, CDScenario):
         dataset, u, regenerated = _generate_cd(scenario, replication)
     else:
-        dataset, u = generate_ci_dataset(scenario, replication)
-        regenerated = 0
+        dataset, u = _generate_propensity(scenario, replication)
     correction = confounder_for_scenario(scenario).correction()
 
-    corr_treated = corr_control = float("nan")
-    if isinstance(scenario, CDScenario):
-        treated = dataset.treatment == 1.0
-        z = dataset.covariates[:, 0]
-        corr_treated = _safe_corr(u[treated], z[treated])
-        corr_control = _safe_corr(u[~treated], z[~treated])
-
     nan = float("nan")
+    corr_treated = corr_control = nan
     try:
+        if not isinstance(scenario, CIScenario):
+            if isinstance(scenario, CDScenario):
+                partner = dataset.covariates[:, 0]
+            else:
+                partner = _fitted_propensity(dataset)
+            treated = dataset.treatment == 1.0
+            corr_treated = _corr(u[treated], partner[treated], "pearson")
+            corr_control = _corr(u[~treated], partner[~treated], "pearson")
         fit = fit_censored_cost(dataset)
     except EstimationError:
         return ReplicationRecord(replication, False, nan, nan, nan, False, False,
@@ -478,11 +625,8 @@ def aggregate(scenario, records: list[ReplicationRecord],
 
         corr_t = _nanmean([record.corr_treated for record in converged])
         corr_c = _nanmean([record.corr_control for record in converged])
-        if math.isnan(corr_t) and math.isnan(corr_c):
-            max_corr = nan
-        else:
-            pool = [c for c in (corr_t, corr_c) if not math.isnan(c)]
-            max_corr = max(pool, key=abs)
+        pool = [c for c in (corr_t, corr_c) if not math.isnan(c)]
+        max_corr = max(pool, key=abs) if pool else nan
 
     return SimulationResult(
         replications=len(records),
@@ -509,185 +653,6 @@ def run_study(scenario, replications: int, estimator: str = "adjusted-with-true-
     records = run_replications(scenario, replications, fit_true_model=fit_true_model,
                                variance=variance, level=level)
     return aggregate(scenario, records, estimator=estimator)
-
-
-PROPENSITY_MODELS = {
-    "model1": (0.1, 0.1, 0.1),
-    "model2": (0.3, -0.4, 0.0),
-}
-
-# Slopes sum to zero so they are orthogonal to model1's equal correlations:
-# cov(U, index) = 0 there, making the marginal correction vanish, while
-# model2 keeps cov = 0.3*b1 - 0.4*b2 < 0 and a ~2% adjusted bias.
-_PROPENSITY_INTERCEPT = -1.2
-_PROPENSITY_SLOPES = (0.6, 0.6, -1.2)
-
-
-@dataclass(frozen=True)
-class PropensityStudyResult:
-    replications: int
-    n: int
-    convergence_failures: int
-    corr_treated: float
-    corr_control: float
-    mean_beta_unadjusted: float
-    mean_beta_adjusted: float
-    bias_unadjusted: float
-    bias_adjusted: float
-    mc_standard_error: float
-
-
-@lru_cache(maxsize=None)
-def _propensity_arm_moments(
-    correlations: tuple[float, float, float],
-    intercept: float,
-    slopes: tuple[float, float, float],
-) -> tuple[NormalParams, NormalParams]:
-    """Normal moments of U within each arm when treatment depends on Z only.
-
-    U and the treatment index s = intercept + slopes . Z are jointly
-    normal, so E[U | s] is linear and the within-arm moments reduce to
-    one-dimensional integrals over s, done by Gauss-Hermite quadrature.
-    """
-    slope_vec = np.asarray(slopes)
-    corr_vec = np.asarray(correlations)
-    index_var = float(slope_vec @ slope_vec)
-    if index_var == 0.0:
-        return NormalParams(mean=1.0, sd=1.0), NormalParams(mean=1.0, sd=1.0)
-    index_mean = intercept + float(slope_vec.sum())
-    cov_us = float(slope_vec @ corr_vec)
-    nodes, weights = _gauss_hermite()
-    s = index_mean + math.sqrt(index_var) * nodes
-    mean_given = 1.0 + (cov_us / index_var) * (s - index_mean)
-    var_given = 1.0 - cov_us * cov_us / index_var
-    take = expit(s)
-    out = []
-    for arm in (1.0 - take, take):
-        mass = float(weights @ arm)
-        m1 = float(weights @ (arm * mean_given)) / mass
-        m2 = float(weights @ (arm * (var_given + mean_given * mean_given))) / mass
-        out.append(NormalParams(mean=m1, sd=math.sqrt(m2 - m1 * m1)))
-    return out[0], out[1]
-
-
-def propensity_correlation_study(
-    correlation_model,
-    n: int,
-    seed: int,
-    replications: int = 200,
-    gamma: float = 0.5,
-    treat_intercept: float = _PROPENSITY_INTERCEPT,
-    treat_slopes: tuple[float, float, float] = _PROPENSITY_SLOPES,
-) -> PropensityStudyResult:
-    """How within-stratum correlation with the propensity score drives bias.
-
-    Draws (U, Z1..Z3) from a 4-variate normal with unit variances, means
-    one, mutually independent Z's, and the given U-Z correlations
-    (``"model1"``, ``"model2"``, or a 3-sequence). Treatment follows a
-    logistic model in Z alone; costs follow the usual log-linear model
-    with coefficient 1 on each Z and ``gamma`` on U. Each replication fits
-    the reduced cost model and a propensity score, corrects the treatment
-    coefficient using the Normal per-arm moments implied by the design,
-    and reports the within-stratum correlations between U and the fitted
-    score alongside both estimators' bias.
-    """
-    if isinstance(correlation_model, str):
-        try:
-            correlations = PROPENSITY_MODELS[correlation_model]
-        except KeyError:
-            options = ", ".join(sorted(PROPENSITY_MODELS))
-            raise CorrelationModelError(
-                f"unknown correlation model {correlation_model!r}; expected one of {options}"
-            ) from None
-    else:
-        correlations = tuple(float(c) for c in correlation_model)
-        if len(correlations) != 3:
-            raise CorrelationModelError(
-                f"need exactly 3 correlations between U and Z, got {len(correlations)}"
-            )
-    if n < 100:
-        raise ValueError(f"n must be at least 100, got {n}")
-    if replications < 1:
-        raise ValueError(f"replications must be at least 1, got {replications}")
-
-    matrix = np.eye(4)
-    matrix[0, 1:] = matrix[1:, 0] = correlations
-    try:
-        chol = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError:
-        raise CorrelationModelError(
-            f"correlations {correlations} do not form a positive definite joint law"
-        ) from None
-
-    slopes = np.asarray(treat_slopes)
-    control_params, treated_params = _propensity_arm_moments(
-        correlations, treat_intercept, tuple(treat_slopes)
-    )
-    correction = (
-        treated_params.log_mgf(gamma) - control_params.log_mgf(gamma)
-    )
-
-    betas_unadjusted, betas_adjusted = [], []
-    corrs_treated, corrs_control = [], []
-    failures = 0
-    for rep in range(replications):
-        rng = _rng(seed, rep, 0)
-        draws = 1.0 + rng.standard_normal((n, 4)) @ chol.T
-        u, z = draws[:, 0], draws[:, 1:]
-        assign = expit(treat_intercept + z @ slopes)
-        x = (rng.random(n) < assign).astype(float)
-        if x.min() == x.max():
-            failures += 1
-            continue
-        mean = np.exp(5.0 + x + gamma * u + z.sum(axis=1))
-        y = rng.gamma(mean, scale=1.0)
-
-        ones = np.ones(n)
-        cost_spec = DesignSpec(response=y, design=np.column_stack([ones, x, z]),
-                               weights=ones, family=Family.LOG_GAMMA)
-        score_spec = DesignSpec(response=x, design=np.column_stack([ones, z]),
-                                weights=ones, family=Family.LOGIT_BINOMIAL)
-        try:
-            cost_fit = irls_fit(cost_spec)
-            score_fit = irls_fit(score_spec)
-        except EstimationError:
-            failures += 1
-            continue
-        if not (cost_fit.converged and score_fit.converged):
-            failures += 1
-            continue
-
-        beta_star = float(cost_fit.coefficients[1])
-        betas_unadjusted.append(beta_star)
-        betas_adjusted.append(beta_star - correction)
-        score = expit(np.column_stack([ones, z]) @ score_fit.coefficients)
-        treated = x == 1.0
-        corrs_treated.append(_safe_corr(u[treated], score[treated]))
-        corrs_control.append(_safe_corr(u[~treated], score[~treated]))
-
-    nan = float("nan")
-    k = len(betas_adjusted)
-    if k == 0:
-        mean_un = mean_adj = mc = corr_t = corr_c = nan
-    else:
-        mean_un = float(np.mean(betas_unadjusted))
-        mean_adj = float(np.mean(betas_adjusted))
-        mc = float(np.std(betas_adjusted, ddof=1) / math.sqrt(k)) if k > 1 else nan
-        with np.errstate(invalid="ignore"):
-            corr_t = float(np.nanmean(corrs_treated))
-            corr_c = float(np.nanmean(corrs_control))
-    return PropensityStudyResult(
-        replications=replications,
-        n=n,
-        convergence_failures=failures,
-        corr_treated=corr_t,
-        corr_control=corr_c,
-        mean_beta_unadjusted=mean_un,
-        mean_beta_adjusted=mean_adj,
-        bias_unadjusted=mean_un - 1.0,
-        bias_adjusted=mean_adj - 1.0,
-        mc_standard_error=mc,
-    )
 
 
 _COHORT_SIZE = 1860

@@ -281,17 +281,38 @@ def test_simulate_summary_is_deterministic(tmp_path, capsys):
     assert float(row["coverage_adjusted"]) <= 1.0
 
 
+PROPENSITY_INI = """\
+[scenario prop]
+kind = propensity
+model = model2
+n = 200
+"""
+
+
 def test_simulate_workers_leave_results_unchanged(tmp_path, capsys):
+    for kind, scenarios in (("ci", SCENARIO_INI), ("propensity", PROPENSITY_INI)):
+        path = tmp_path / f"{kind}.ini"
+        path.write_text(scenarios)
+        rep_one, rep_three = tmp_path / f"{kind}-one.csv", tmp_path / f"{kind}-three.csv"
+        base = ("simulate", "--input", str(path), "--seed", "9", "--reps", "6",
+                "--format", "csv")
+        _, serial, _ = _run(capsys, *base, "--workers", "1", "--rep-output", str(rep_one))
+        _, pooled, _ = _run(capsys, *base, "--workers", "3", "--rep-output", str(rep_three))
+        assert serial == pooled, kind
+        assert rep_one.read_text() == rep_three.read_text(), kind
+        assert len(_rows(rep_one.read_text())) == 6, kind
+
+
+def test_simulate_rejects_small_propensity_n_before_running(tmp_path, capsys):
     path = tmp_path / "scenarios.ini"
-    path.write_text(SCENARIO_INI)
-    rep_one, rep_three = tmp_path / "one.csv", tmp_path / "three.csv"
-    base = ("simulate", "--input", str(path), "--seed", "9", "--reps", "6",
-            "--format", "csv")
-    _, serial, _ = _run(capsys, *base, "--workers", "1", "--rep-output", str(rep_one))
-    _, pooled, _ = _run(capsys, *base, "--workers", "3", "--rep-output", str(rep_three))
-    assert serial == pooled
-    assert rep_one.read_text() == rep_three.read_text()
-    assert len(_rows(rep_one.read_text())) == 6
+    path.write_text(SCENARIO_INI + PROPENSITY_INI.replace("n = 200", "n = 50"))
+    status, out, err = _run(capsys, "simulate", "--input", str(path), "--seed", "9",
+                            "--reps", "2")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: config-error:")
+    assert "at least 100" in err
+    assert "Traceback" not in err
 
 
 def test_simulate_rejects_seed_in_scenario_file(tmp_path, capsys):

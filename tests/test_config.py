@@ -11,11 +11,12 @@ from costsense import (
     CIScenario,
     ConfigError,
     ConfounderFamily,
+    CorrelationModelError,
     GammaParams,
     InputNotFoundError,
+    PropensityScenario,
 )
 from costsense.config import (
-    PropensityScenario,
     load_adjust_config,
     load_scenarios,
     load_sweep_config,
@@ -288,6 +289,15 @@ def test_scenario_custom_correlations(tmp_path):
     )
     (named,) = load_scenarios(path, seed=1)
     assert named.scenario.correlation_model == (0.3, -0.4, 0.0)
+
+
+def test_scenario_correlation_errors_name_the_section(tmp_path):
+    for line, message in (("correlations = 0.1, 0.2", "exactly 3"),
+                          ("model = model9", "model9"),
+                          ("correlations = 0.8, 0.8, 0.8", "positive definite")):
+        path = _write(tmp_path / "prop.ini", f"[scenario c]\nkind = propensity\n{line}\nn = 1000\n")
+        with pytest.raises(CorrelationModelError, match=rf"\[scenario c\]: .*{message}"):
+            load_scenarios(path, seed=1)
 
 
 def test_scenario_model_and_correlations_are_exclusive(tmp_path):

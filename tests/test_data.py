@@ -5,7 +5,6 @@ import pytest
 
 from costsense import (
     CostDataset,
-    CostRecord,
     EmptyDatasetError,
     InputNotFoundError,
     NoPositiveCostError,
@@ -25,11 +24,6 @@ def test_dataset_basic_accessors():
     assert ds.n_covariates == 1
     assert ds.covariate_names == ("z1",)
     assert ds.censoring_rate == 0.0
-    rec = ds.record(2)
-    assert isinstance(rec, CostRecord)
-    assert rec.cost == 150.0
-    assert rec.treatment == 1
-    assert rec.covariates == (1.1,)
 
 
 def test_dataset_arrays_are_read_only():
@@ -38,23 +32,6 @@ def test_dataset_arrays_are_read_only():
         ds.cost[0] = 0.0
     with pytest.raises(ValueError):
         ds.covariates[0, 0] = 9.0
-
-
-def test_dataset_iteration_matches_records():
-    ds = tiny_dataset()
-    assert list(ds) == ds.records
-    assert [r.time for r in ds] == [3.0, 2.5, 4.0, 1.5]
-
-
-def test_from_records_defaults_covariate_names():
-    recs = [
-        CostRecord(cost=1.0, time=1.0, uncensored=True, treatment=0, covariates=(0.1, 0.2)),
-        CostRecord(cost=2.0, time=2.0, uncensored=False, treatment=1, covariates=(0.3, 0.4)),
-    ]
-    ds = CostDataset.from_records(recs)
-    assert ds.covariate_names == ("z1", "z2")
-    assert ds.censoring_rate == pytest.approx(0.5)
-    np.testing.assert_array_equal(ds.covariates, [[0.1, 0.2], [0.3, 0.4]])
 
 
 def test_negative_cost_rejected():

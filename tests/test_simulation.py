@@ -15,13 +15,13 @@ from costsense import (
     GammaParams,
     NormalParams,
     PoissonParams,
+    PropensityScenario,
     ReplicationRecord,
     aggregate,
     confounder_for_scenario,
     generate_cd_dataset,
     generate_ci_dataset,
     log_mgf,
-    propensity_correlation_study,
     run_replication,
     run_replications,
     run_study,
@@ -302,7 +302,7 @@ def test_scenario_validation():
 
 
 def test_propensity_model1_bias_vanishes():
-    result = propensity_correlation_study("model1", n=2000, seed=11, replications=80)
+    result = run_study(PropensityScenario("model1", n=2000, seed=11), 80)
     assert result.convergence_failures == 0
     assert abs(result.bias_adjusted) < 0.015
     assert abs(result.corr_treated) < 0.05
@@ -310,14 +310,14 @@ def test_propensity_model1_bias_vanishes():
 
 
 def test_propensity_model2_keeps_small_positive_bias():
-    result = propensity_correlation_study("model2", n=2000, seed=11, replications=80)
+    result = run_study(PropensityScenario("model2", n=2000, seed=11), 80)
     assert 0.0 < result.bias_adjusted < 0.05
     assert result.corr_treated < 0.0
     assert result.corr_control < 0.0
 
 
 def test_propensity_zero_correlations_behave_like_no_confounding():
-    result = propensity_correlation_study((0.0, 0.0, 0.0), n=1000, seed=3, replications=60)
+    result = run_study(PropensityScenario((0.0, 0.0, 0.0), n=1000, seed=3), 60)
     assert abs(result.corr_treated) < 0.05
     assert abs(result.corr_control) < 0.05
     assert abs(result.bias_adjusted - result.bias_unadjusted) < 1e-12
@@ -325,15 +325,15 @@ def test_propensity_zero_correlations_behave_like_no_confounding():
 
 def test_propensity_study_validation():
     with pytest.raises(CorrelationModelError, match="model9"):
-        propensity_correlation_study("model9", n=1000, seed=1)
+        run_study(PropensityScenario("model9", n=1000, seed=1), 200)
     with pytest.raises(CorrelationModelError, match="exactly 3"):
-        propensity_correlation_study((0.1, 0.2), n=1000, seed=1)
+        run_study(PropensityScenario((0.1, 0.2), n=1000, seed=1), 200)
     with pytest.raises(CorrelationModelError, match="positive definite"):
-        propensity_correlation_study((0.8, 0.8, 0.8), n=1000, seed=1)
+        run_study(PropensityScenario((0.8, 0.8, 0.8), n=1000, seed=1), 200)
     with pytest.raises(ValueError, match="at least 100"):
-        propensity_correlation_study("model1", n=50, seed=1)
+        run_study(PropensityScenario("model1", n=50, seed=1), 200)
     with pytest.raises(ValueError):
-        propensity_correlation_study("model1", n=1000, seed=1, replications=0)
+        run_study(PropensityScenario("model1", n=1000, seed=1), 0)
 
 
 def test_synthetic_cohort_shape_is_frozen():
