@@ -21,7 +21,6 @@ from .diagnostics import (
     CorrelationReport,
     correlation_report,
     loo_correlation_report,
-    propensity_scores,
 )
 from .errors import (
     ConfigError,
@@ -66,12 +65,9 @@ from .simulation import (
     ReplicationRecord,
     SimulationResult,
     aggregate,
-    confounder_for_scenario,
-    generate_cd_dataset,
     generate_ci_dataset,
     run_replication,
     run_replications,
-    run_study,
     synthetic_cohort,
 )
 
@@ -116,13 +112,11 @@ __all__ = [
     "ZeroProbabilityError",
     "adjust_effect",
     "aggregate",
-    "confounder_for_scenario",
     "correlation_report",
     "cost_design",
     "fit_censored_cost",
     "fit_cost_unweighted",
     "gamma_arms_from_mean_ratio",
-    "generate_cd_dataset",
     "generate_ci_dataset",
     "ipw_weights",
     "irls_fit",
@@ -130,10 +124,8 @@ __all__ = [
     "load_dataset",
     "log_mgf",
     "loo_correlation_report",
-    "propensity_scores",
     "run_replication",
     "run_replications",
-    "run_study",
     "save_dataset",
     "sweep",
     "synthetic_cohort",

@@ -261,7 +261,7 @@ def cmd_simulate(args) -> int:
         scenario = named.scenario
         records = _scenario_records(scenario, args.reps, args.workers, args.variance,
                                     level)
-        result = aggregate(scenario, records, estimator=args.estimator)
+        result = aggregate(scenario, records)
         summary_rows.append([named.name, scenario.kind, scenario.n, *astuple(result)])
         human_rows.append([
             named.name, scenario.kind,
@@ -386,8 +386,10 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate = commands.add_parser(
         "simulate", help="run Monte Carlo scenario studies",
         description="Run the ci, cd and propensity scenarios of an INI file. Every kind runs "
-                    "through one replication pipeline, so --workers, --estimator, --variance, "
-                    "--level and --rep-output apply to all of them.",
+                    "through one replication pipeline, so --workers, --variance, --level and "
+                    "--rep-output apply to all of them. The summary reports the Monte Carlo "
+                    "standard error of both estimators: mc_standard_error for the adjusted one "
+                    "and mc_standard_error_unadjusted for the unadjusted one.",
     )
     simulate.add_argument("--input", required=True, help="INI file with [scenario NAME] sections")
     simulate.add_argument("--seed", type=int, required=True, help="master seed")
@@ -395,10 +397,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="replications per scenario (default: 1000)")
     simulate.add_argument("--workers", type=int, default=1,
                           help="parallel worker processes (default: 1)")
-    simulate.add_argument("--estimator",
-                          choices=("naive", "unadjusted", "adjusted", "adjusted-with-true-eta"),
-                          default="adjusted-with-true-eta",
-                          help="estimator the Monte Carlo standard error describes")
     simulate.add_argument("--variance", choices=("sandwich", "model"), default="sandwich",
                           help="covariance estimator for coverage (default: sandwich)")
     simulate.add_argument("--level", type=float, default=None,

@@ -13,8 +13,9 @@ A scenario file holds ``[scenario NAME]`` sections, each with a ``kind``
 of ``ci``, ``cd``, or ``propensity`` plus that kind's parameters. Each
 section becomes the matching scenario of :mod:`costsense.simulation`, and
 all three kinds run through the same replication pipeline, so every
-simulate option applies to each. Scenario parameters are validated here,
-before any replication runs. Seeds are deliberately not file keys: the
+simulate option applies to each. Scenario parameters, and whether each
+scenario's correction lies in its MGF domain, are validated here, before
+any replication runs. Seeds are deliberately not file keys: the
 caller supplies one so a scenario file describes the study, not the draw.
 """
 
@@ -23,15 +24,17 @@ from __future__ import annotations
 import configparser
 import itertools
 import math
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import ConfigError, CorrelationModelError, InputNotFoundError
+from .errors import ConfigError, CorrelationModelError, InputNotFoundError, MgfDomainError
 from .sensitivity import (
     ApparentEffect,
     BernoulliParams,
     ConfounderFamily,
     ConfounderModel,
+    FamilyParams,
     GAMMA_RATIO_CONVENTION,
     GammaParams,
     NormalParams,
@@ -83,6 +86,13 @@ def _require(section: str, mapping, key: str) -> str:
     if key not in mapping:
         raise ConfigError(f"[{section}]: missing required key {key!r}")
     return mapping[key]
+
+
+def _family(section: str, mapping) -> ConfounderFamily:
+    try:
+        return ConfounderFamily.from_string(_require(section, mapping, "family"))
+    except ValueError as err:
+        raise ConfigError(f"[{section}]: {err}") from None
 
 
 def _float(section: str, key: str, raw: str) -> float:
@@ -217,32 +227,30 @@ def _expand_section(section: str, family: ConfounderFamily,
     return rows
 
 
+def _family_params(family: ConfounderFamily, pairs: dict) -> tuple[FamilyParams, FamilyParams]:
+    """Control and treated parameters from ``(control, treated)`` value pairs."""
+    if family is ConfounderFamily.BERNOULLI:
+        return tuple(BernoulliParams(v) for v in pairs["prevalence"])
+    if family is ConfounderFamily.NORMAL:
+        sds = pairs.get("sd", (1.0, 1.0))
+        return tuple(NormalParams(mean=m, sd=s) for m, s in zip(pairs["mean"], sds))
+    if family is ConfounderFamily.POISSON:
+        return tuple(PoissonParams(v) for v in pairs["rate"])
+    return tuple(GammaParams(shape=k, scale=t) for k, t in zip(pairs["shape"], pairs["scale"]))
+
+
 def _model_from_row(section: str, family: ConfounderFamily, row: dict) -> tuple[ConfounderModel, dict]:
     labels: dict[str, float] = {}
     try:
-        if family is ConfounderFamily.BERNOULLI:
-            control, treated = (BernoulliParams(v) for v in row["prevalence"])
-            labels["prevalence_control"], labels["prevalence_treated"] = row["prevalence"]
-        elif family is ConfounderFamily.NORMAL:
-            means = row["mean"]
-            sds = row.get("sd", (1.0, 1.0))
-            control = NormalParams(mean=means[0], sd=sds[0])
-            treated = NormalParams(mean=means[1], sd=sds[1])
-            labels["mean_control"], labels["mean_treated"] = means
-            labels["sd_control"], labels["sd_treated"] = sds
-        elif family is ConfounderFamily.POISSON:
-            control, treated = (PoissonParams(v) for v in row["rate"])
-            labels["rate_control"], labels["rate_treated"] = row["rate"]
-        elif "mean_ratio" in row:
+        if "mean_ratio" in row:
             ratio, spread = row["mean_ratio"][0], row["var_over_mean"][0]
             control, treated = gamma_arms_from_mean_ratio(ratio, spread)
             labels["mean_ratio"], labels["var_over_mean"] = ratio, spread
         else:
-            shapes, scales = row["shape"], row["scale"]
-            control = GammaParams(shape=shapes[0], scale=scales[0])
-            treated = GammaParams(shape=shapes[1], scale=scales[1])
-            labels["shape_control"], labels["shape_treated"] = shapes
-            labels["scale_control"], labels["scale_treated"] = scales
+            control, treated = _family_params(family, row)
+            for field in fields(control):
+                labels[f"{field.name}_control"] = getattr(control, field.name)
+                labels[f"{field.name}_treated"] = getattr(treated, field.name)
 
         if "effect" in row:
             ratios = row["effect"]
@@ -276,10 +284,7 @@ def load_sweep_config(path) -> SweepConfig:
         raise ConfigError("missing [sweep] section naming the confounder family")
     sweep_section = parser["sweep"]
     _reject_unknown("sweep", sweep_section, ("family",))
-    try:
-        family = ConfounderFamily.from_string(_require("sweep", sweep_section, "family"))
-    except ValueError as err:
-        raise ConfigError(f"[sweep]: {err}") from None
+    family = _family("sweep", sweep_section)
     if not grid_sections:
         raise ConfigError("no [grid*] sections found")
 
@@ -330,10 +335,7 @@ def load_adjust_config(path) -> tuple[ApparentEffect | None, ConfounderModel, di
         raise ConfigError("missing [confounder] section")
     section = parser["confounder"]
     items = [(key, raw) for key, raw in section.items() if key != "family"]
-    try:
-        family = ConfounderFamily.from_string(_require("confounder", section, "family"))
-    except ValueError as err:
-        raise ConfigError(f"[confounder]: {err}") from None
+    family = _family("confounder", section)
     _grid_keys("confounder", family, {key for key, _ in items})
     rows = _expand_section("confounder", family, items)
     if len(rows) != 1:
@@ -347,74 +349,65 @@ def load_adjust_config(path) -> tuple[ApparentEffect | None, ConfounderModel, di
 _SCENARIO_PREFIX = "scenario"
 
 
-def _scenario_params(section: str, family: ConfounderFamily, mapping) -> tuple:
+# The optional cost-model keys of CI and CD scenarios with their defaults
+# (gamma is required), and the keys every CI and CD section accepts.
+_COST_MODEL_DEFAULTS = {"censor_prob": "0", "alpha": "5", "beta_true": "1", "theta_z": "1"}
+_SHARED_KEYS = {"kind", "family", "gamma", *_COST_MODEL_DEFAULTS}
+
+
+def _cost_model(section: str, mapping) -> dict[str, float]:
+    values = {"gamma": _float(section, "gamma", _require(section, mapping, "gamma"))}
+    for key, default in _COST_MODEL_DEFAULTS.items():
+        values[key] = _float(section, key, mapping.get(key, default))
+    return values
+
+
+@contextmanager
+def _scenario_errors(section: str):
+    """Name the section in the errors a scenario raises while it is built."""
+    try:
+        yield
+    except (ValueError, TypeError) as err:
+        raise ConfigError(f"[{section}]: {err}") from None
+    except (CorrelationModelError, MgfDomainError) as err:
+        raise type(err)(f"[{section}]: {err}") from None
+
+
+def _parse_ci_scenario(section: str, mapping, seed: int) -> CIScenario:
+    family = _family(section, mapping)
     required, optional = _FAMILY_KEYS[family]
+    _reject_unknown(section, mapping, _SHARED_KEYS | {"n_per_arm"} | required | optional)
     pairs = {}
     for key in required:
         pairs[key] = _pair(section, key, _require(section, mapping, key))
     for key in optional:
         if key in mapping:
             pairs[key] = _pair(section, key, mapping[key])
-    try:
-        if family is ConfounderFamily.BERNOULLI:
-            return tuple(BernoulliParams(v) for v in pairs["prevalence"])
-        if family is ConfounderFamily.NORMAL:
-            sds = pairs.get("sd", (1.0, 1.0))
-            return tuple(
-                NormalParams(mean=m, sd=s) for m, s in zip(pairs["mean"], sds)
-            )
-        if family is ConfounderFamily.POISSON:
-            return tuple(PoissonParams(v) for v in pairs["rate"])
-        return tuple(
-            GammaParams(shape=k, scale=t) for k, t in zip(pairs["shape"], pairs["scale"])
-        )
-    except ValueError as err:
-        raise ConfigError(f"[{section}]: {err}") from None
-
-
-def _parse_ci_scenario(section: str, mapping, family: ConfounderFamily, seed: int) -> CIScenario:
-    required, optional = _FAMILY_KEYS[family]
-    allowed = {"kind", "family", "n_per_arm", "gamma", "censor_prob",
-               "alpha", "beta_true", "theta_z"} | required | optional
-    _reject_unknown(section, mapping, allowed)
-    control, treated = _scenario_params(section, family, mapping)
-    try:
+    with _scenario_errors(section):
+        control, treated = _family_params(family, pairs)
         return CIScenario(
+            **_cost_model(section, mapping),
             family=family,
             params_control=control,
             params_treated=treated,
-            gamma=_float(section, "gamma", _require(section, mapping, "gamma")),
             n_per_arm=_int(section, "n_per_arm", _require(section, mapping, "n_per_arm")),
-            censor_prob=_float(section, "censor_prob", mapping.get("censor_prob", "0")),
-            alpha=_float(section, "alpha", mapping.get("alpha", "5")),
-            beta_true=_float(section, "beta_true", mapping.get("beta_true", "1")),
-            theta_z=_float(section, "theta_z", mapping.get("theta_z", "1")),
             seed=seed,
         )
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"[{section}]: {err}") from None
 
 
-def _parse_cd_scenario(section: str, mapping, family: ConfounderFamily, seed: int) -> CDScenario:
-    allowed = {"kind", "family", "n", "gamma", "censor_prob",
-               "phi1", "phi2", "phi3", "alpha", "beta_true", "theta_z"}
-    _reject_unknown(section, mapping, allowed)
-    try:
+def _parse_cd_scenario(section: str, mapping, seed: int) -> CDScenario:
+    family = _family(section, mapping)
+    _reject_unknown(section, mapping, _SHARED_KEYS | {"n", "phi1", "phi2", "phi3"})
+    with _scenario_errors(section):
         return CDScenario(
+            **_cost_model(section, mapping),
             family=family,
             phi1=_float(section, "phi1", _require(section, mapping, "phi1")),
             phi2=_float(section, "phi2", _require(section, mapping, "phi2")),
             phi3=_float(section, "phi3", _require(section, mapping, "phi3")),
             n=_int(section, "n", _require(section, mapping, "n")),
-            gamma=_float(section, "gamma", _require(section, mapping, "gamma")),
-            censor_prob=_float(section, "censor_prob", mapping.get("censor_prob", "0")),
-            alpha=_float(section, "alpha", mapping.get("alpha", "5")),
-            beta_true=_float(section, "beta_true", mapping.get("beta_true", "1")),
-            theta_z=_float(section, "theta_z", mapping.get("theta_z", "1")),
             seed=seed,
         )
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"[{section}]: {err}") from None
 
 
 def _parse_propensity_scenario(section: str, mapping, seed: int) -> PropensityScenario:
@@ -425,17 +418,17 @@ def _parse_propensity_scenario(section: str, mapping, seed: int) -> PropensitySc
         correlation_model: object = mapping["model"].strip()
     else:
         correlation_model = tuple(_scalar_list(section, "correlations", mapping["correlations"]))
-    try:
+    with _scenario_errors(section):
         return PropensityScenario(
             correlation_model=correlation_model,
             n=_int(section, "n", _require(section, mapping, "n")),
             gamma=_float(section, "gamma", mapping.get("gamma", "0.5")),
             seed=seed,
         )
-    except (ValueError, TypeError) as err:
-        raise ConfigError(f"[{section}]: {err}") from None
-    except CorrelationModelError as err:
-        raise CorrelationModelError(f"[{section}]: {err}") from None
+
+
+_SCENARIO_PARSERS = {"ci": _parse_ci_scenario, "cd": _parse_cd_scenario,
+                     "propensity": _parse_propensity_scenario}
 
 
 def load_scenarios(path, seed: int) -> list[NamedScenario]:
@@ -459,17 +452,7 @@ def load_scenarios(path, seed: int) -> list[NamedScenario]:
         seen.add(name)
         mapping = parser[section]
         kind = _require(section, mapping, "kind").strip().lower()
-        if kind == "propensity":
-            scenarios.append(NamedScenario(name, _parse_propensity_scenario(section, mapping, seed)))
-            continue
-        if kind not in ("ci", "cd"):
+        if kind not in _SCENARIO_PARSERS:
             raise ConfigError(f"[{section}]: kind must be ci, cd, or propensity, got {kind!r}")
-        try:
-            family = ConfounderFamily.from_string(_require(section, mapping, "family"))
-        except ValueError as err:
-            raise ConfigError(f"[{section}]: {err}") from None
-        if kind == "ci":
-            scenarios.append(NamedScenario(name, _parse_ci_scenario(section, mapping, family, seed)))
-        else:
-            scenarios.append(NamedScenario(name, _parse_cd_scenario(section, mapping, family, seed)))
+        scenarios.append(NamedScenario(name, _SCENARIO_PARSERS[kind](section, mapping, seed)))
     return scenarios

@@ -20,19 +20,19 @@ from scipy.special import expit
 from scipy.stats import rankdata
 
 from .data import CostDataset
-from .errors import EmptyFitError, SeparationError
+from .errors import EmptyFitError, SchemaError, SeparationError
 from .glm import DesignSpec, Family, irls_fit
 
 WITHIN_STRATUM_THRESHOLD = 0.15
 
 
-def _fit_propensity(response: np.ndarray, covariates: np.ndarray, names,
-                    tolerance: float, max_iterations: int) -> np.ndarray:
+def _fit_propensity(response: np.ndarray, covariates: np.ndarray, names) -> np.ndarray:
+    """Fitted treatment probabilities from a logit model on ``covariates``."""
     n = response.size
     design = np.column_stack([np.ones(n), covariates])
     spec = DesignSpec(response=response, design=design, weights=np.ones(n),
                       family=Family.LOGIT_BINOMIAL)
-    fit = irls_fit(spec, tolerance=tolerance, max_iterations=max_iterations)
+    fit = irls_fit(spec)
     scores = expit(design @ fit.coefficients)
     _raise_on_separation(response, scores, fit.coefficients, covariates, names)
     return scores
@@ -40,14 +40,10 @@ def _fit_propensity(response: np.ndarray, covariates: np.ndarray, names,
 
 def _raise_on_separation(response, scores, coefficients, covariates, names) -> None:
     treated = response == 1.0
-    if treated.sum() == 0 or treated.sum() == response.size:
-        return
     perfectly_split = scores[treated].min() > 1.0 - 1e-6 and scores[~treated].max() < 1e-6
     if not perfectly_split:
         return
     slopes = np.asarray(coefficients[1:], dtype=float)
-    if slopes.size == 0:
-        raise SeparationError("treatment arms are perfectly separated")
     spread = covariates.std(axis=0)
     strength = np.abs(slopes) * np.where(spread > 0, spread, 1.0)
     worst = int(np.argmax(strength))
@@ -56,26 +52,6 @@ def _raise_on_separation(response, scores, coefficients, covariates, names) -> N
         f"treatment arms are perfectly separated; strongest direction is "
         f"{direction} {names[worst]!r}"
     )
-
-
-def propensity_scores(dataset: CostDataset, tolerance: float = 1e-8,
-                      max_iterations: int = 100) -> np.ndarray:
-    """Fitted treatment probabilities from a logit model on the covariates.
-
-    Raises
-    ------
-    EmptyFitError
-        One of the treatment arms is empty.
-    SeparationError
-        The fitted model classifies the arms perfectly, so the maximum
-        likelihood estimate does not exist; the message names the
-        covariate carrying the strongest separating direction.
-    """
-    treated = dataset.treatment == 1.0
-    if treated.sum() == 0 or (~treated).sum() == 0:
-        raise EmptyFitError("propensity fit needs records in both treatment arms")
-    return _fit_propensity(dataset.treatment, dataset.covariates,
-                           dataset.covariate_names, tolerance, max_iterations)
 
 
 def _corr(a: np.ndarray, b: np.ndarray, method: str) -> float:
@@ -124,22 +100,36 @@ class CorrelationReport:
 
 def loo_correlation_report(dataset: CostDataset, covariate: str,
                            method: str = "pearson") -> CorrelationReport:
-    """Correlations of one covariate with the leave-it-out propensity score."""
+    """Correlations of one covariate with the leave-it-out propensity score.
+
+    Raises
+    ------
+    EmptyFitError
+        One of the treatment arms is empty.
+    SchemaError
+        The dataset has fewer than 2 covariates, so none is left to fit on.
+    SeparationError
+        The leave-it-out propensity fit classifies the arms perfectly, so
+        its maximum likelihood estimate does not exist; the message names
+        the covariate carrying the strongest separating direction.
+    """
     if method not in ("pearson", "spearman"):
         raise ValueError(f"method must be 'pearson' or 'spearman', got {method!r}")
     names = list(dataset.covariate_names)
     if covariate not in names:
         raise KeyError(f"no covariate named {covariate!r}")
+    treated = dataset.treatment == 1.0
+    if treated.all() or not treated.any():
+        raise EmptyFitError("propensity fit needs records in both treatment arms")
     if len(names) < 2:
-        raise ValueError("leave-one-out correlations need at least 2 covariates")
+        raise SchemaError("leave-one-out correlations need at least 2 covariates")
     index = names.index(covariate)
     keep = [j for j in range(len(names)) if j != index]
     column = dataset.covariates[:, index]
     others = dataset.covariates[:, keep]
     other_names = [names[j] for j in keep]
 
-    scores = _fit_propensity(dataset.treatment, others, other_names, 1e-8, 100)
-    treated = dataset.treatment == 1.0
+    scores = _fit_propensity(dataset.treatment, others, other_names)
     return CorrelationReport(
         covariate=covariate,
         corr_unconditional=_corr(column, scores, method),

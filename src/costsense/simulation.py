@@ -11,9 +11,15 @@ propensity scenario U is jointly normal with three measured covariates and
 treatment depends on those alone; the within-arm correlation of U with the
 fitted propensity score measures how far the assumption fails.
 
-Every kind feeds one record stream: :func:`run_replication` turns a
-scenario and a replication index into a :class:`ReplicationRecord`, and
-:func:`aggregate` summarizes any kind's records the same way.
+Every kind is an object with one protocol. ``generate(replication)``
+returns a replication's dataset, its draw of U, and how many times the
+draw was regenerated. ``partner(dataset)`` is the array whose within-arm
+correlation with U a record reports: None for CI, Z for CD, the fitted
+propensity score for propensity. ``correction``, computed once when the
+scenario is built, is the log-scale shift removed from the fitted
+treatment coefficient. :func:`run_replication` turns a scenario and a
+replication index into a :class:`ReplicationRecord` through that protocol
+alone, and :func:`aggregate` summarizes any kind's records the same way.
 Replications are independent work units: every random draw comes from a
 counter-based generator keyed by (seed, replication, stream), so a study
 produces identical results whether replications run serially or across
@@ -91,10 +97,18 @@ class CIScenario:
             raise ValueError(f"censor_prob must lie in [0, 1), got {self.censor_prob}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _set_correction(self, self.params_control, self.params_treated)
 
     @property
     def n(self) -> int:
         return 2 * self.n_per_arm
+
+    def generate(self, replication: int) -> tuple[CostDataset, np.ndarray, int]:
+        dataset, u = generate_ci_dataset(self, replication)
+        return dataset, u, 0
+
+    def partner(self, dataset: CostDataset) -> None:
+        return None
 
 
 @dataclass(frozen=True)
@@ -129,6 +143,29 @@ class CDScenario:
             raise ValueError(f"censor_prob must lie in [0, 1), got {self.censor_prob}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        _set_correction(self, *_cd_marginal_params(self.family, self.phi1, self.phi2, self.phi3))
+
+    def generate(self, replication: int) -> tuple[CostDataset, np.ndarray, int]:
+        """Redraw from the next stream block while an arm is empty.
+
+        Raises EmptyFitError after ``_MAX_REGENERATIONS`` such draws.
+        """
+        for attempt in range(_MAX_REGENERATIONS):
+            base = attempt * _ATTEMPT_STRIDE
+            z = _rng(self.seed, replication, base + _Z_STREAM).normal(1.0, 1.0, self.n)
+            rng_u = _rng(self.seed, replication, base + _U_STREAM)
+            u = _sample_conditional_confounder(rng_u, self.family, z)
+            assign = expit(self.phi1 + self.phi2 * z + self.phi3 * u)
+            x = (_rng(self.seed, replication, base + _TREAT_STREAM).random(self.n) < assign).astype(float)
+            if 0.0 < x.mean() < 1.0:
+                return _assemble(self, replication, x, z, u, base), u, attempt
+        raise EmptyFitError(
+            f"replication {replication} produced an empty treatment arm in "
+            f"{_MAX_REGENERATIONS} consecutive regenerations"
+        )
+
+    def partner(self, dataset: CostDataset) -> np.ndarray:
+        return dataset.covariates[:, 0]
 
 
 PROPENSITY_MODELS = {
@@ -196,6 +233,59 @@ class PropensityScenario:
             ) from None
         object.__setattr__(self, "correlations", correlations)
         object.__setattr__(self, "_chol", chol)
+        _set_correction(self, *_propensity_arm_moments(correlations))
+
+    def generate(self, replication: int) -> tuple[CostDataset, np.ndarray, int]:
+        n = self.n
+        rng = _rng(self.seed, replication, 0)
+        draws = 1.0 + rng.standard_normal((n, 4)) @ self._chol.T
+        u, z = draws[:, 0], draws[:, 1:]
+        assign = expit(_PROPENSITY_INTERCEPT + z @ np.asarray(_PROPENSITY_SLOPES))
+        x = (rng.random(n) < assign).astype(float)
+        mean = np.exp(5.0 + x + self.gamma * u + z.sum(axis=1))
+        cost = rng.gamma(mean, scale=1.0)
+        dataset = CostDataset(
+            cost=cost,
+            time=np.ones(n),
+            uncensored=np.ones(n, dtype=bool),
+            treatment=x,
+            covariates=z,
+            covariate_names=("z1", "z2", "z3"),
+        )
+        return dataset, u, 0
+
+    def partner(self, dataset: CostDataset) -> np.ndarray:
+        """Logit propensity score of treatment on the covariates.
+
+        Raises EstimationError on a single-arm draw or a score fit that fails.
+        """
+        if dataset.treatment.min() == dataset.treatment.max():
+            raise EmptyFitError("draw left a treatment arm empty")
+        design = np.column_stack([np.ones(len(dataset)), dataset.covariates])
+        fit = irls_fit(DesignSpec(response=dataset.treatment, design=design,
+                                  weights=np.ones(len(dataset)), family=Family.LOGIT_BINOMIAL))
+        if not fit.converged:
+            raise DidNotConvergeError("propensity score fit did not converge")
+        return expit(design @ fit.coefficients)
+
+
+def _set_correction(scenario, control: FamilyParams, treated: FamilyParams) -> None:
+    """Store on ``scenario`` the correction for per-arm laws of U.
+
+    The effect of U is the scenario's ``gamma`` in both arms. CI scenarios
+    pass their own generative laws. CD and propensity scenarios pass the
+    marginal laws their generative model implies; the correction is then
+    the best the method can do, and its residual bias measures the cost of
+    the violated independence assumption.
+    """
+    model = ConfounderModel(
+        family=scenario.family,
+        params_control=control,
+        params_treated=treated,
+        effect_control=scenario.gamma,
+        effect_treated=scenario.gamma,
+    )
+    object.__setattr__(scenario, "correction", model.correction())
 
 
 def _sample_confounder(
@@ -256,67 +346,6 @@ def generate_ci_dataset(scenario: CIScenario, replication: int) -> tuple[CostDat
     z = np.concatenate([rng_z.normal(0.0, 1.0, n), rng_z.normal(1.0, 1.0, n)])
     x = np.repeat([0.0, 1.0], n)
     return _assemble(scenario, replication, x, z, u), u
-
-
-def _generate_cd(scenario: CDScenario, replication: int) -> tuple[CostDataset, np.ndarray, int]:
-    for attempt in range(_MAX_REGENERATIONS):
-        base = attempt * _ATTEMPT_STRIDE
-        z = _rng(scenario.seed, replication, base + _Z_STREAM).normal(1.0, 1.0, scenario.n)
-        rng_u = _rng(scenario.seed, replication, base + _U_STREAM)
-        u = _sample_conditional_confounder(rng_u, scenario.family, z)
-        assign = expit(scenario.phi1 + scenario.phi2 * z + scenario.phi3 * u)
-        x = (_rng(scenario.seed, replication, base + _TREAT_STREAM).random(scenario.n) < assign).astype(float)
-        if 0.0 < x.mean() < 1.0:
-            return _assemble(scenario, replication, x, z, u, base), u, attempt
-    raise EmptyFitError(
-        f"replication {replication} produced an empty treatment arm in "
-        f"{_MAX_REGENERATIONS} consecutive regenerations"
-    )
-
-
-def generate_cd_dataset(scenario: CDScenario, replication: int) -> tuple[CostDataset, np.ndarray]:
-    """One replication's data under conditional dependence.
-
-    A draw that leaves either arm empty is regenerated from the next
-    stream block; :func:`run_replication` counts how often that happens.
-    """
-    dataset, u, _ = _generate_cd(scenario, replication)
-    return dataset, u
-
-
-def _generate_propensity(scenario: PropensityScenario, replication: int) -> tuple[CostDataset, np.ndarray]:
-    n = scenario.n
-    rng = _rng(scenario.seed, replication, 0)
-    draws = 1.0 + rng.standard_normal((n, 4)) @ scenario._chol.T
-    u, z = draws[:, 0], draws[:, 1:]
-    assign = expit(_PROPENSITY_INTERCEPT + z @ np.asarray(_PROPENSITY_SLOPES))
-    x = (rng.random(n) < assign).astype(float)
-    mean = np.exp(5.0 + x + scenario.gamma * u + z.sum(axis=1))
-    cost = rng.gamma(mean, scale=1.0)
-    dataset = CostDataset(
-        cost=cost,
-        time=np.ones(n),
-        uncensored=np.ones(n, dtype=bool),
-        treatment=x,
-        covariates=z,
-        covariate_names=("z1", "z2", "z3"),
-    )
-    return dataset, u
-
-
-def _fitted_propensity(dataset: CostDataset) -> np.ndarray:
-    """Logit propensity score of treatment on the covariates.
-
-    Raises EstimationError on a single-arm draw or a score fit that fails.
-    """
-    if dataset.treatment.min() == dataset.treatment.max():
-        raise EmptyFitError("draw left a treatment arm empty")
-    design = np.column_stack([np.ones(len(dataset)), dataset.covariates])
-    fit = irls_fit(DesignSpec(response=dataset.treatment, design=design,
-                              weights=np.ones(len(dataset)), family=Family.LOGIT_BINOMIAL))
-    if not fit.converged:
-        raise DidNotConvergeError("propensity score fit did not converge")
-    return expit(design @ fit.coefficients)
 
 
 @lru_cache(maxsize=None)
@@ -425,33 +454,6 @@ def _propensity_arm_moments(correlations: tuple[float, float, float]) -> tuple[N
     return out[0], out[1]
 
 
-def confounder_for_scenario(scenario) -> ConfounderModel:
-    """The confounder model a study should hand to the correction.
-
-    CI scenarios use their own generative parameters directly. CD and
-    propensity scenarios use the marginal per-arm laws of U implied by the
-    generative model (see :func:`_cd_marginal_params` and
-    :func:`_propensity_arm_moments`); the correction is then the best the
-    method can do, and its residual bias measures the cost of the violated
-    independence assumption.
-    """
-    if isinstance(scenario, CIScenario):
-        control, treated = scenario.params_control, scenario.params_treated
-    elif isinstance(scenario, CDScenario):
-        control, treated = _cd_marginal_params(
-            scenario.family, scenario.phi1, scenario.phi2, scenario.phi3
-        )
-    else:
-        control, treated = _propensity_arm_moments(scenario.correlations)
-    return ConfounderModel(
-        family=scenario.family,
-        params_control=control,
-        params_treated=treated,
-        effect_control=scenario.gamma,
-        effect_treated=scenario.gamma,
-    )
-
-
 @dataclass(frozen=True)
 class ReplicationRecord:
     """Per-replication outcomes; aggregate with :func:`aggregate`."""
@@ -482,6 +484,7 @@ class SimulationResult:
     coverage_unadjusted: float
     coverage_adjusted: float
     mc_standard_error: float
+    mc_standard_error_unadjusted: float
     corr_treated: float
     corr_control: float
     max_within_stratum_corr: float
@@ -492,28 +495,20 @@ def run_replication(scenario, replication: int, fit_true_model: bool = False,
     """Generate one replication, fit, correct, and score coverage.
 
     ``level`` sets the nominal confidence level whose intervals the
-    coverage indicators score. CD records carry the within-arm
-    correlations of U with Z, propensity records those of U with the
-    fitted propensity score. A failed fit, or a propensity draw that
-    leaves an arm empty, gives a record with ``converged=False``.
+    coverage indicators score. Records carry the within-arm correlations
+    of U with the scenario's ``partner``, NaN when it has none. A draw
+    that cannot be generated, or a partner or cost fit that fails, gives a
+    record with ``converged=False``; an undrawable replication counts
+    ``_MAX_REGENERATIONS`` regenerations.
     """
-    regenerated = 0
-    if isinstance(scenario, CIScenario):
-        dataset, u = generate_ci_dataset(scenario, replication)
-    elif isinstance(scenario, CDScenario):
-        dataset, u, regenerated = _generate_cd(scenario, replication)
-    else:
-        dataset, u = _generate_propensity(scenario, replication)
-    correction = confounder_for_scenario(scenario).correction()
-
     nan = float("nan")
     corr_treated = corr_control = nan
+    # generate raises an EstimationError only once every regeneration failed.
+    regenerated = _MAX_REGENERATIONS
     try:
-        if not isinstance(scenario, CIScenario):
-            if isinstance(scenario, CDScenario):
-                partner = dataset.covariates[:, 0]
-            else:
-                partner = _fitted_propensity(dataset)
+        dataset, u, regenerated = scenario.generate(replication)
+        partner = scenario.partner(dataset)
+        if partner is not None:
             treated = dataset.treatment == 1.0
             corr_treated = _corr(u[treated], partner[treated], "pearson")
             corr_control = _corr(u[~treated], partner[~treated], "pearson")
@@ -525,7 +520,7 @@ def run_replication(scenario, replication: int, fit_true_model: bool = False,
     covariance = fit.covariance if variance == "sandwich" else fit.model_covariance
     beta_star = float(fit.coefficients[1])
     se = float(np.sqrt(covariance[1, 1]))
-    beta_adjusted = beta_star - correction
+    beta_adjusted = beta_star - scenario.correction
     converged = bool(fit.converged and np.isfinite(se) and se > 0.0)
     z_crit = z_quantile(level)
     covered_unadjusted = converged and abs(beta_star - scenario.beta_true) <= z_crit * se
@@ -575,28 +570,15 @@ def run_replications(scenario, replications: int, fit_true_model: bool = False,
     ]
 
 
-_ESTIMATOR_ALIASES = {
-    "naive": "unadjusted",
-    "unadjusted": "unadjusted",
-    "adjusted": "adjusted",
-    "adjusted-with-true-eta": "adjusted",
-}
-
-
-def aggregate(scenario, records: list[ReplicationRecord],
-              estimator: str = "adjusted-with-true-eta") -> SimulationResult:
+def aggregate(scenario, records: list[ReplicationRecord]) -> SimulationResult:
     """Summarize replication records into a SimulationResult.
 
-    Means, biases, and coverages are computed over converged replications
-    only. ``estimator`` picks which estimator the Monte Carlo standard
-    error describes; both estimators' summaries are always reported.
+    Means, biases, coverages and Monte Carlo standard errors are computed
+    over converged replications only. ``mc_standard_error`` describes the
+    adjusted estimator and ``mc_standard_error_unadjusted`` the unadjusted
+    one: each is the standard deviation of the estimates over the square
+    root of their count, and NaN with fewer than two of them.
     """
-    try:
-        selected = _ESTIMATOR_ALIASES[estimator]
-    except KeyError:
-        options = ", ".join(sorted(_ESTIMATOR_ALIASES))
-        raise ValueError(f"unknown estimator {estimator!r}; expected one of {options}") from None
-
     records = sorted(records, key=lambda record: record.replication)
     converged = [record for record in records if record.converged]
     k = len(converged)
@@ -608,7 +590,7 @@ def aggregate(scenario, records: list[ReplicationRecord],
         return (mean - scenario.beta_true) / scenario.beta_true
 
     if k == 0:
-        mean_un = mean_adj = mc = corr_t = corr_c = max_corr = nan
+        mean_un = mean_adj = mc_un = mc_adj = corr_t = corr_c = max_corr = nan
         cover_un = cover_adj = nan
     else:
         unadjusted = np.array([record.beta_unadjusted for record in converged])
@@ -617,8 +599,8 @@ def aggregate(scenario, records: list[ReplicationRecord],
         mean_adj = float(adjusted.mean())
         cover_un = float(np.mean([record.covered_unadjusted for record in converged]))
         cover_adj = float(np.mean([record.covered_adjusted for record in converged]))
-        chosen = adjusted if selected == "adjusted" else unadjusted
-        mc = float(chosen.std(ddof=1) / math.sqrt(k)) if k > 1 else nan
+        mc_adj = float(adjusted.std(ddof=1) / math.sqrt(k)) if k > 1 else nan
+        mc_un = float(unadjusted.std(ddof=1) / math.sqrt(k)) if k > 1 else nan
         def _nanmean(values):
             finite = [v for v in values if not math.isnan(v)]
             return float(np.mean(finite)) if finite else nan
@@ -639,20 +621,12 @@ def aggregate(scenario, records: list[ReplicationRecord],
         bias_adjusted=bias(mean_adj),
         coverage_unadjusted=cover_un,
         coverage_adjusted=cover_adj,
-        mc_standard_error=mc,
+        mc_standard_error=mc_adj,
+        mc_standard_error_unadjusted=mc_un,
         corr_treated=corr_t,
         corr_control=corr_c,
         max_within_stratum_corr=max_corr,
     )
-
-
-def run_study(scenario, replications: int, estimator: str = "adjusted-with-true-eta",
-              fit_true_model: bool = False, variance: str = "sandwich",
-              level: float = 0.95) -> SimulationResult:
-    """Run a scenario serially and aggregate. Deterministic given the seed."""
-    records = run_replications(scenario, replications, fit_true_model=fit_true_model,
-                               variance=variance, level=level)
-    return aggregate(scenario, records, estimator=estimator)
 
 
 _COHORT_SIZE = 1860

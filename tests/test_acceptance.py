@@ -30,12 +30,12 @@ from costsense import (
     NormalParams,
     PoissonParams,
     adjust_effect,
+    aggregate,
     fit_censored_cost,
     fit_cost_unweighted,
     gamma_arms_from_mean_ratio,
     log_mgf,
     run_replications,
-    run_study,
     sweep,
 )
 from costsense.glm import DesignSpec, Family, irls_fit
@@ -219,7 +219,7 @@ def test_monte_carlo_anchor_cells():
             gamma=gamma, n_per_arm=100, censor_prob=censor_prob,
             seed=SIMULATION_SEED,
         )
-        return label, run_study(scenario, 1000)
+        return label, aggregate(scenario, run_replications(scenario, 1000))
 
     label, result = cell("bernoulli g=0.25 uncensored", ConfounderFamily.BERNOULLI,
                          BernoulliParams(0.3), BernoulliParams(0.866), 0.25, 0.0)
@@ -256,7 +256,7 @@ def test_conditional_dependence_anchor():
         family=ConfounderFamily.BERNOULLI, phi1=-1.0, phi2=1.0, phi3=2.0,
         n=500, gamma=0.75, censor_prob=0.25, seed=SIMULATION_SEED,
     )
-    result = run_study(scenario, 1000, level=0.99)
+    result = aggregate(scenario, run_replications(scenario, 1000, level=0.99))
     checks = [
         (f"unadjusted bias {result.bias_unadjusted:+.1%}",
          0.25 <= result.bias_unadjusted <= 0.37),

@@ -333,6 +333,76 @@ def test_simulate_validates_flag_ranges(tmp_path, capsys):
         assert err.startswith("error: config-error:")
 
 
+HOPELESS_CD_INI = """\
+[scenario hopeless]
+kind = cd
+family = normal
+phi1 = -60
+phi2 = 0
+phi3 = 0
+n = 20
+gamma = 0.25
+"""
+
+
+def test_simulate_counts_a_hopeless_cd_draw_as_failed_replications(tmp_path, capsys):
+    alone, both = tmp_path / "alone.ini", tmp_path / "both.ini"
+    alone.write_text(SCENARIO_INI)
+    both.write_text(SCENARIO_INI + HOPELESS_CD_INI)
+    base = ("--seed", "9", "--reps", "2", "--format", "csv")
+    status, out, err = _run(capsys, "simulate", "--input", str(both), *base)
+    assert status == 0
+    assert "Traceback" not in err
+    bern, hopeless = _rows(out)
+    _, alone_out, _ = _run(capsys, "simulate", "--input", str(alone), *base)
+    assert [bern] == _rows(alone_out)
+    assert hopeless["converged"] == "0"
+    assert hopeless["convergence_failures"] == "2"
+    assert hopeless["regenerated"] == "2000"
+
+
+def test_simulate_rejects_out_of_domain_correction_before_running(tmp_path, capsys):
+    path = tmp_path / "scenarios.ini"
+    path.write_text(SCENARIO_INI + (
+        "[scenario wide]\nkind = ci\nfamily = gamma\nshape = 0.5\nscale = 2\n"
+        "gamma = 0.75\nn_per_arm = 20\n"
+    ))
+    status, out, err = _run(capsys, "simulate", "--input", str(path), "--seed", "9",
+                            "--reps", "2")
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: mgf-domain: [scenario wide]:")
+    assert "Traceback" not in err
+
+
+def test_diagnose_one_covariate_is_a_schema_error(tmp_path, capsys):
+    path = _dataset_csv(tmp_path)
+    status, out, err = _run(capsys, "diagnose", "--input", str(path))
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: schema-error:")
+    assert "Traceback" not in err
+
+
+def test_diagnose_one_treatment_arm_is_an_empty_fit(tmp_path, capsys):
+    treated_only = load_dataset(_two_covariate_csv(tmp_path))
+    treated_only = CostDataset(
+        cost=treated_only.cost,
+        time=treated_only.time,
+        uncensored=treated_only.uncensored,
+        treatment=np.ones(len(treated_only), dtype=np.int64),
+        covariates=treated_only.covariates,
+        covariate_names=treated_only.covariate_names,
+    )
+    path = tmp_path / "one_arm.csv"
+    save_dataset(path, treated_only)
+    status, out, err = _run(capsys, "diagnose", "--input", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: empty-fit:")
+    assert "Traceback" not in err
+
+
 def test_diagnose_reports_each_covariate(tmp_path, capsys):
     path = _two_covariate_csv(tmp_path)
     status, out, _ = _run(capsys, "diagnose", "--input", str(path), "--format", "csv")

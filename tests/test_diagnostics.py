@@ -9,13 +9,16 @@ from scipy.special import expit
 from costsense import (
     CostDataset,
     EmptyFitError,
+    Family,
+    SchemaError,
     SeparationError,
     WITHIN_STRATUM_THRESHOLD,
     correlation_report,
+    irls_fit,
     loo_correlation_report,
-    propensity_scores,
 )
 from costsense.diagnostics import CorrelationReport
+from costsense.glm import DesignSpec
 
 
 def _dataset(treatment, covariates, names=None):
@@ -41,9 +44,16 @@ def _logistic_design(seed, n, slopes, intercept=0.0):
     return _dataset(x, z), z, x
 
 
+def _logit_scores(ds):
+    design = np.column_stack([np.ones(len(ds)), ds.covariates])
+    fit = irls_fit(DesignSpec(response=ds.treatment, design=design, weights=np.ones(len(ds)),
+                              family=Family.LOGIT_BINOMIAL))
+    return expit(design @ fit.coefficients)
+
+
 def test_scores_average_to_the_treated_share():
     ds, _, x = _logistic_design(1, 4000, [0.0, 0.0])
-    scores = propensity_scores(ds)
+    scores = _logit_scores(ds)
     # The logistic score equation forces fitted probabilities to average
     # to the observed share.
     assert scores.mean() == pytest.approx(x.mean(), abs=1e-8)
@@ -53,7 +63,7 @@ def test_scores_average_to_the_treated_share():
 
 def test_scores_are_monotone_in_a_single_strong_covariate():
     ds, z, _ = _logistic_design(2, 1500, [1.5])
-    scores = propensity_scores(ds)
+    scores = _logit_scores(ds)
     order = np.argsort(z[:, 0])
     assert np.all(np.diff(scores[order]) >= 0.0)
 
@@ -64,15 +74,17 @@ def test_perfect_separation_names_the_covariate_and_direction():
     noise = rng.normal(size=n)
     z1 = np.concatenate([rng.uniform(-2.0, -0.1, n // 2), rng.uniform(0.1, 2.0, n // 2)])
     x = (z1 > 0.0).astype(np.int64)
-    ds = _dataset(x, np.column_stack([z1, noise]))
+    left_out = rng.normal(size=n)
+    ds = _dataset(x, np.column_stack([z1, noise, left_out]))
+    # Leaving out the last column fits the score on z1 and the noise.
     with pytest.raises(SeparationError, match="increasing 'z1'"):
-        propensity_scores(ds)
+        loo_correlation_report(ds, "z3")
 
 
 def test_one_armed_dataset_raises_empty_fit():
     ds = _dataset([1, 1, 1, 1], np.random.default_rng(0).normal(size=(4, 1)))
     with pytest.raises(EmptyFitError):
-        propensity_scores(ds)
+        loo_correlation_report(ds, "z1")
 
 
 def test_loo_report_unrelated_covariate_stays_small():
@@ -154,7 +166,7 @@ def test_report_validation_errors():
     with pytest.raises(ValueError, match="method"):
         loo_correlation_report(ds, "z1", method="kendall")
     single, _, _ = _logistic_design(8, 100, [0.2])
-    with pytest.raises(ValueError, match="at least 2"):
+    with pytest.raises(SchemaError, match="at least 2"):
         loo_correlation_report(single, "z1")
 
 

@@ -9,6 +9,12 @@ cells are compared at 10 significant digits; text cells exactly.
 Two differences are expected and exempt. Propensity summary rows now fill
 the columns the separate propensity study left empty, and the
 per-replication CSV now holds propensity rows, which it did not before.
+
+The summary fixture was later extended, not regenerated, by one column:
+``mc_standard_error_unadjusted`` holds the ``mc_standard_error`` cells
+that ``simulate --estimator unadjusted`` printed before the summary
+reported both Monte Carlo standard errors and that option was removed.
+It is compared like every other column.
 """
 
 from __future__ import annotations

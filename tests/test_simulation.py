@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from costsense import (
     BernoulliParams,
     CDScenario,
     CIScenario,
     ConfounderFamily,
+    ConfounderModel,
     CorrelationModelError,
     EmptyFitError,
     GammaParams,
@@ -18,16 +22,20 @@ from costsense import (
     PropensityScenario,
     ReplicationRecord,
     aggregate,
-    confounder_for_scenario,
-    generate_cd_dataset,
     generate_ci_dataset,
     log_mgf,
     run_replication,
     run_replications,
-    run_study,
     synthetic_cohort,
 )
-from costsense.simulation import _rng, _sample_confounder, _U_STREAM
+from costsense import sensitivity
+from costsense.simulation import (
+    _MAX_REGENERATIONS,
+    _U_STREAM,
+    _cd_marginal_params,
+    _rng,
+    _sample_confounder,
+)
 
 
 def _same_fields(a, b) -> bool:
@@ -103,8 +111,8 @@ def test_replications_are_schedule_independent():
 
 def test_run_study_is_deterministic():
     scenario = _bern_scenario(n_per_arm=50)
-    first = run_study(scenario, 30)
-    second = run_study(scenario, 30)
+    first = aggregate(scenario, run_replications(scenario, 30))
+    second = aggregate(scenario, run_replications(scenario, 30))
     assert _same_fields(first, second)
     assert first.replications == 30
     assert first.converged + first.convergence_failures == 30
@@ -143,7 +151,7 @@ def test_cd_unconditional_correlation_sits_near_a_tenth():
         scenario = _cd_scenario(
             family=family, phi1=0.0, phi2=0.0, phi3=0.0, n=20000, gamma=0.25, seed=5
         )
-        ds, u = generate_cd_dataset(scenario, 0)
+        ds, u, _ = scenario.generate(0)
         corr = float(np.corrcoef(u, ds.covariates[:, 0])[0, 1])
         assert 0.06 < corr < 0.14, family.value
 
@@ -163,29 +171,35 @@ def test_cd_gives_up_after_too_many_empty_draws():
     scenario = _cd_scenario(family=ConfounderFamily.NORMAL, phi1=-60.0, phi2=0.0,
                             phi3=0.0, n=20, gamma=0.25, censor_prob=0.0, seed=42)
     with pytest.raises(EmptyFitError, match="regenerat"):
-        generate_cd_dataset(scenario, 0)
+        scenario.generate(0)
+    # Inside a study the hopeless draw is one failed replication.
+    record = run_replication(scenario, 0)
+    assert not record.converged
+    assert record.regenerated == _MAX_REGENERATIONS
+    assert math.isnan(record.beta_adjusted)
 
 
 def test_coverage_degrades_with_censoring():
     coverages = []
     for censor_prob in (0.0, 0.25, 0.5, 0.75):
         scenario = _bern_scenario(gamma=0.5, censor_prob=censor_prob)
-        result = run_study(scenario, 150)
+        result = aggregate(scenario, run_replications(scenario, 150))
         coverages.append(result.coverage_adjusted)
     for early, late in zip(coverages, coverages[1:]):
         assert late <= early + 0.03
 
 
 def test_adjusted_beats_unadjusted_under_conditional_dependence():
-    result = run_study(_cd_scenario(), 100)
+    scenario = _cd_scenario()
+    result = aggregate(scenario, run_replications(scenario, 100))
     assert abs(result.bias_adjusted) < abs(result.bias_unadjusted)
     assert result.coverage_adjusted > result.coverage_unadjusted
 
 
 def test_level_parameter_widens_intervals():
     scenario = _cd_scenario(n=200)
-    narrow = run_study(scenario, 100, level=0.5)
-    wide = run_study(scenario, 100, level=0.999)
+    narrow = aggregate(scenario, run_replications(scenario, 100, level=0.5))
+    wide = aggregate(scenario, run_replications(scenario, 100, level=0.999))
     assert narrow.coverage_adjusted < wide.coverage_adjusted
     # The estimates themselves do not depend on the level.
     assert narrow.mean_beta_adjusted == wide.mean_beta_adjusted
@@ -245,16 +259,14 @@ def test_aggregate_counts_failures_and_uses_converged_only():
     assert result.coverage_adjusted == 1.0
 
 
-def test_aggregate_estimator_aliases_and_unknown_name():
+def test_aggregate_reports_both_monte_carlo_standard_errors():
     scenario = _bern_scenario()
     records = [_fake_record(0), _fake_record(1, beta_adj=1.05, beta_unadj=1.4)]
-    naive = aggregate(scenario, records, estimator="naive")
-    unadj = aggregate(scenario, records, estimator="unadjusted")
-    assert naive.mc_standard_error == unadj.mc_standard_error
-    adj = aggregate(scenario, records, estimator="adjusted")
-    assert adj.mc_standard_error != naive.mc_standard_error
-    with pytest.raises(ValueError, match="unknown estimator"):
-        aggregate(scenario, records, estimator="bayes")
+    result = aggregate(scenario, records)
+    adjusted, unadjusted = np.array([1.0, 1.05]), np.array([1.1, 1.4])
+    assert result.mc_standard_error == adjusted.std(ddof=1) / math.sqrt(2)
+    assert result.mc_standard_error_unadjusted == unadjusted.std(ddof=1) / math.sqrt(2)
+    assert result.mc_standard_error != result.mc_standard_error_unadjusted
 
 
 def test_aggregate_with_no_converged_replications():
@@ -264,25 +276,35 @@ def test_aggregate_with_no_converged_replications():
     assert result.converged == 0
     assert math.isnan(result.mean_beta_adjusted)
     assert math.isnan(result.coverage_adjusted)
+    assert math.isnan(result.mc_standard_error)
+    assert math.isnan(result.mc_standard_error_unadjusted)
 
 
 def test_confounder_for_scenario_mirrors_ci_arms():
     scenario = _bern_scenario()
-    model = confounder_for_scenario(scenario)
-    assert model.params_control == scenario.params_control
-    assert model.params_treated == scenario.params_treated
-    assert model.effect_control == scenario.gamma
-    assert model.effect_treated == scenario.gamma
+    model = ConfounderModel(
+        family=scenario.family,
+        params_control=scenario.params_control,
+        params_treated=scenario.params_treated,
+        effect_control=scenario.gamma,
+        effect_treated=scenario.gamma,
+    )
+    assert scenario.correction == model.correction()
 
 
 def test_confounder_for_scenario_cd_marginals_track_simulation():
     # The per-arm marginal laws come from quadrature; check their first
     # moments against a large simulated draw.
     scenario = _cd_scenario(family=ConfounderFamily.NORMAL, n=100000, seed=8)
-    model = confounder_for_scenario(scenario)
-    ds, u = generate_cd_dataset(scenario, 0)
+    control, treated_law = _cd_marginal_params(scenario.family, scenario.phi1,
+                                               scenario.phi2, scenario.phi3)
+    model = ConfounderModel(family=scenario.family, params_control=control,
+                            params_treated=treated_law, effect_control=scenario.gamma,
+                            effect_treated=scenario.gamma)
+    assert scenario.correction == model.correction()
+    ds, u, _ = scenario.generate(0)
     treated = ds.treatment == 1
-    for params, mask in ((model.params_treated, treated), (model.params_control, ~treated)):
+    for params, mask in ((treated_law, treated), (control, ~treated)):
         sample = u[mask]
         se = sample.std(ddof=1) / math.sqrt(mask.sum())
         assert abs(params.mean - sample.mean()) < 4.0 * se
@@ -302,7 +324,8 @@ def test_scenario_validation():
 
 
 def test_propensity_model1_bias_vanishes():
-    result = run_study(PropensityScenario("model1", n=2000, seed=11), 80)
+    scenario = PropensityScenario("model1", n=2000, seed=11)
+    result = aggregate(scenario, run_replications(scenario, 80))
     assert result.convergence_failures == 0
     assert abs(result.bias_adjusted) < 0.015
     assert abs(result.corr_treated) < 0.05
@@ -310,30 +333,101 @@ def test_propensity_model1_bias_vanishes():
 
 
 def test_propensity_model2_keeps_small_positive_bias():
-    result = run_study(PropensityScenario("model2", n=2000, seed=11), 80)
+    scenario = PropensityScenario("model2", n=2000, seed=11)
+    result = aggregate(scenario, run_replications(scenario, 80))
     assert 0.0 < result.bias_adjusted < 0.05
     assert result.corr_treated < 0.0
     assert result.corr_control < 0.0
 
 
 def test_propensity_zero_correlations_behave_like_no_confounding():
-    result = run_study(PropensityScenario((0.0, 0.0, 0.0), n=1000, seed=3), 60)
+    scenario = PropensityScenario((0.0, 0.0, 0.0), n=1000, seed=3)
+    result = aggregate(scenario, run_replications(scenario, 60))
     assert abs(result.corr_treated) < 0.05
     assert abs(result.corr_control) < 0.05
     assert abs(result.bias_adjusted - result.bias_unadjusted) < 1e-12
 
 
 def test_propensity_study_validation():
+    # Bad scenarios are rejected when they are built, before any replication.
     with pytest.raises(CorrelationModelError, match="model9"):
-        run_study(PropensityScenario("model9", n=1000, seed=1), 200)
+        PropensityScenario("model9", n=1000, seed=1)
     with pytest.raises(CorrelationModelError, match="exactly 3"):
-        run_study(PropensityScenario((0.1, 0.2), n=1000, seed=1), 200)
+        PropensityScenario((0.1, 0.2), n=1000, seed=1)
     with pytest.raises(CorrelationModelError, match="positive definite"):
-        run_study(PropensityScenario((0.8, 0.8, 0.8), n=1000, seed=1), 200)
+        PropensityScenario((0.8, 0.8, 0.8), n=1000, seed=1)
     with pytest.raises(ValueError, match="at least 100"):
-        run_study(PropensityScenario("model1", n=50, seed=1), 200)
+        PropensityScenario("model1", n=50, seed=1)
     with pytest.raises(ValueError):
-        run_study(PropensityScenario("model1", n=1000, seed=1), 0)
+        run_replications(PropensityScenario("model1", n=1000, seed=1), 0)
+
+
+def test_correction_is_computed_once_per_scenario(monkeypatch):
+    calls = []
+    original = sensitivity.log_mgf
+
+    def counting_log_mgf(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(sensitivity, "log_mgf", counting_log_mgf)
+    builders = (lambda: _bern_scenario(n_per_arm=20), lambda: _cd_scenario(n=60),
+                lambda: PropensityScenario("model2", n=100, seed=1))
+    for build in builders:
+        calls.clear()
+        scenario = build()
+        assert len(calls) == 2, scenario.kind
+        calls.clear()
+        run_replications(scenario, 5)
+        assert calls == [], scenario.kind
+
+
+_ARM_PARAMS = {
+    ConfounderFamily.BERNOULLI: st.builds(BernoulliParams, st.floats(0.0, 1.0)),
+    ConfounderFamily.NORMAL: st.builds(NormalParams, st.floats(-2.0, 2.0), st.floats(0.1, 2.0)),
+    ConfounderFamily.POISSON: st.builds(PoissonParams, st.floats(0.0, 3.0)),
+    ConfounderFamily.GAMMA: st.builds(GammaParams, st.floats(0.1, 3.0), st.floats(0.1, 1.0)),
+}
+
+
+@st.composite
+def _any_scenario(draw):
+    # Effects stay within |gamma| <= 0.75, where every family's correction,
+    # the CD Gamma marginals included, lies inside the MGF domain.
+    seed = draw(st.integers(0, 2**32))
+    gamma = draw(st.floats(-0.75, 0.75))
+    kind = draw(st.sampled_from(("ci", "cd", "propensity")))
+    if kind == "propensity":
+        correlations = draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3))
+        return PropensityScenario(correlations, n=draw(st.integers(100, 150)), seed=seed,
+                                  gamma=gamma)
+    family = draw(st.sampled_from(list(ConfounderFamily)))
+    censor_prob = draw(st.floats(0.0, 0.9))
+    if kind == "ci":
+        return CIScenario(family=family, params_control=draw(_ARM_PARAMS[family]),
+                          params_treated=draw(_ARM_PARAMS[family]), gamma=gamma,
+                          n_per_arm=draw(st.integers(4, 40)), censor_prob=censor_prob,
+                          seed=seed)
+    phi = st.floats(-1.5, 1.5)
+    return CDScenario(family=family, phi1=draw(phi), phi2=draw(phi), phi3=draw(phi),
+                      n=draw(st.integers(20, 80)), gamma=gamma, censor_prob=censor_prob,
+                      seed=seed)
+
+
+@settings(max_examples=40, deadline=None)
+@given(scenario=_any_scenario(), replication=st.integers(0, 10_000))
+def test_pickled_scenario_keeps_correction_and_draws(scenario, replication):
+    # --workers pickles scenarios, so a worker's copy must carry the same
+    # computed correction and make the same draws, bit for bit.
+    clone = pickle.loads(pickle.dumps(scenario))
+    assert clone == scenario
+    assert clone.correction.hex() == scenario.correction.hex()
+    dataset, u, regenerated = scenario.generate(replication)
+    dataset_clone, u_clone, regenerated_clone = clone.generate(replication)
+    assert regenerated_clone == regenerated
+    assert u_clone.tobytes() == u.tobytes()
+    for name in ("cost", "time", "uncensored", "treatment", "covariates"):
+        assert getattr(dataset_clone, name).tobytes() == getattr(dataset, name).tobytes(), name
 
 
 def test_synthetic_cohort_shape_is_frozen():
