@@ -92,14 +92,6 @@ class CostDataset:
         return int(self.cost.shape[0])
 
     @property
-    def n_records(self) -> int:
-        return len(self)
-
-    @property
-    def n_covariates(self) -> int:
-        return int(self.covariates.shape[1])
-
-    @property
     def censoring_rate(self) -> float:
         return float(np.mean(~self.uncensored))
 
@@ -135,6 +127,9 @@ def _parse_indicator(token: str, row: int, column: str) -> int:
 def _resolve_header_schema(header: list[str], schema: dict | None):
     schema = dict(schema or {})
     covariate_spec = schema.pop("covariates", None)
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise SchemaError(f"column '{name}' appears more than once in the header")
     positions = {}
     lookup = {name: i for i, name in enumerate(header)}
     for role in ROLE_NAMES:
@@ -200,7 +195,8 @@ def load_dataset(path, schema: dict | None = None) -> CostDataset:
     Raises
     ------
     SchemaError
-        A required column is missing, naming the column.
+        A required column is missing, or the header names a column twice;
+        the message names the column.
     ParseError
         A cell cannot be interpreted, naming the 1-based data row.
     EmptyDatasetError

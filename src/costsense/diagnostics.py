@@ -16,12 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
-from scipy.stats import rankdata
 
 from .data import CostDataset
 from .errors import EmptyFitError, SchemaError, SeparationError
-from .glm import DesignSpec, Family, irls_fit
+from .glm import DesignSpec, Family, expit, irls_fit
 
 WITHIN_STRATUM_THRESHOLD = 0.15
 
@@ -54,11 +52,22 @@ def _raise_on_separation(response, scores, coefficients, covariates, names) -> N
     )
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``values``; each run of ties shares its mean rank."""
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    ends = np.append(starts[1:], values.size)
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
+
+
 def _corr(a: np.ndarray, b: np.ndarray, method: str) -> float:
     if a.size < 3:
         return float("nan")
     if method == "spearman":
-        a, b = rankdata(a), rankdata(b)
+        a, b = _average_ranks(a), _average_ranks(b)
     if np.std(a) == 0.0 or np.std(b) == 0.0:
         return float("nan")
     return float(np.corrcoef(a, b)[0, 1])

@@ -24,12 +24,22 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import expit, xlogy
 
 from .errors import EmptyFitError, SingularDesignError
 
 _ETA_MAX = 700.0  # exp overflows just above this
 _MAX_HALVINGS = 10
+
+
+def expit(x):
+    """Logistic function ``1 / (1 + exp(-x))``, saturating at 0 and 1 silently."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
+
+
+def _xlogy(x, y):
+    """``x * log(y)``, taken as 0 where ``x == 0`` whatever ``y`` is."""
+    return np.where(x == 0.0, 0.0, x * np.log(y))
 
 
 class Family(enum.Enum):
@@ -80,10 +90,6 @@ class FitResult:
     iterations: int
     n_effective: int
 
-    @property
-    def standard_errors(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.covariance))
-
 
 def _canonical_rows(spec: DesignSpec):
     """Response, design and weights of ``spec`` in canonical row order."""
@@ -111,7 +117,7 @@ def _deviance(family: Family, y, mu, w) -> float:
         with np.errstate(divide="ignore", over="ignore"):
             return 2.0 * float(np.sum(w * (y / mu + np.log(mu))))
     with np.errstate(divide="ignore", invalid="ignore"):
-        ll = xlogy(y, mu) + xlogy(1.0 - y, 1.0 - mu)
+        ll = _xlogy(y, mu) + _xlogy(1.0 - y, 1.0 - mu)
     return -2.0 * float(np.sum(w * ll))
 
 
@@ -133,8 +139,11 @@ def irls_fit(
     The iteration starts from a log-mean intercept (``LOG_GAMMA``) or zeros
     (``LOGIT_BINOMIAL``) and stops when the largest relative coefficient
     change falls below ``tolerance``. A step that increases the deviance is
-    halved up to ten times. Non-finite coefficients or a linear predictor
-    beyond the exp-overflow guard end the fit with ``converged=False``.
+    halved up to ten times. Non-finite coefficients, a linear predictor
+    beyond the exp-overflow guard, or normal equations that turn singular
+    end the fit with ``converged=False``. The design has full rank by then,
+    so singular normal equations mean the logit weights ``p(1 - p)`` have
+    vanished: the fit is diverging, as it does under separation.
 
     Raises
     ------
@@ -168,7 +177,7 @@ def irls_fit(
         try:
             step = np.linalg.solve(bread, score)
         except np.linalg.LinAlgError:
-            raise SingularDesignError("normal equations are singular") from None
+            return _finish(spec, b, converged=False, iterations=iterations, n_eff=n_eff)
 
         # Step halving: if the full Newton step worsens the deviance, retreat
         # up to ten times, then accept whatever remains.

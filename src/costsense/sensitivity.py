@@ -24,12 +24,11 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import MgfDomainError
-from .glm import FitResult
 
 
 class ConfounderFamily(enum.Enum):
@@ -169,7 +168,9 @@ def z_quantile(level: float) -> float:
     """Two-sided normal critical value for a confidence ``level`` in (0, 1)."""
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must lie in (0, 1), got {level}")
-    return float(ndtri(0.5 + level / 2.0))
+    upper = 0.5 + level / 2.0
+    # A level within an ulp of 1 rounds the upper tail point to 1.
+    return NormalDist().inv_cdf(upper) if upper < 1.0 else math.inf
 
 
 @dataclass(frozen=True)
@@ -219,18 +220,6 @@ class ApparentEffect:
         z = z_quantile(confidence_level)
         se = (math.log(ci_high) - math.log(ci_low)) / (2.0 * z)
         return cls(beta_star=math.log(cost_ratio), se=se, confidence_level=confidence_level)
-
-    @classmethod
-    def from_fit(
-        cls, fit: FitResult, index: int = 1, confidence_level: float = 0.95
-    ) -> "ApparentEffect":
-        """Extract the treatment coefficient (default: column 1) from a fit."""
-        se = float(np.sqrt(fit.covariance[index, index]))
-        return cls(
-            beta_star=float(fit.coefficients[index]),
-            se=se,
-            confidence_level=confidence_level,
-        )
 
 
 @dataclass(frozen=True)

@@ -33,13 +33,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit, gammaln, roots_genlaguerre, roots_hermitenorm
 
 from .censoring import ipw_weights, fit_censored_cost
 from .data import CostDataset
 from .diagnostics import _corr
 from .errors import CorrelationModelError, DidNotConvergeError, EmptyFitError, EstimationError
-from .glm import DesignSpec, Family, irls_fit
+from .glm import DesignSpec, Family, expit, irls_fit
 from .sensitivity import (
     BernoulliParams,
     ConfounderFamily,
@@ -350,7 +349,29 @@ def generate_ci_dataset(scenario: CIScenario, replication: int) -> tuple[CostDat
 
 @lru_cache(maxsize=None)
 def _gauss_hermite() -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = roots_hermitenorm(_QUAD_NODES)
+    """Nodes and unit-sum weights integrating against the standard normal."""
+    # Imported on first use, so that `import costsense` does not pay for
+    # numpy.polynomial.
+    from numpy.polynomial.hermite_e import hermegauss
+
+    nodes, weights = hermegauss(_QUAD_NODES)
+    return nodes, weights / weights.sum()
+
+
+def _gauss_laguerre(alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and unit-sum weights for the weight ``t**alpha * exp(-t)``.
+
+    Golub and Welsch (1969): the nodes are the eigenvalues of the
+    symmetric tridiagonal Jacobi matrix of the generalized Laguerre
+    recurrence, and each weight is proportional to the squared first
+    component of its eigenvector.
+    """
+    k = np.arange(_QUAD_NODES)
+    jacobi = np.diag(2.0 * k + alpha + 1.0)
+    off = np.sqrt(k[1:] * (k[1:] + alpha))
+    jacobi += np.diag(off, 1) + np.diag(off, -1)
+    nodes, vectors = np.linalg.eigh(jacobi)
+    weights = vectors[0] ** 2
     return nodes, weights / weights.sum()
 
 
@@ -405,7 +426,8 @@ def _cd_marginal_params(
     if family is ConfounderFamily.POISSON:
         lam = np.maximum(0.9 + 0.1 * z, 1e-12)
         support = _POISSON_SUPPORT
-        pmf = np.exp(support[None, :] * np.log(lam)[:, None] - lam[:, None] - gammaln(support + 1.0)[None, :])
+        log_factorial = np.array([math.lgamma(k + 1.0) for k in support])
+        pmf = np.exp(support[None, :] * np.log(lam)[:, None] - lam[:, None] - log_factorial[None, :])
         joint = z_w[:, None] * pmf
         rates = []
         for arm in arm_weights(support[None, :]):
@@ -414,8 +436,7 @@ def _cd_marginal_params(
         return PoissonParams(rates[0]), PoissonParams(rates[1])
 
     shape = 0.5
-    t_nodes, t_w = roots_genlaguerre(_QUAD_NODES, shape - 1.0)
-    t_w = t_w / t_w.sum()
+    t_nodes, t_w = _gauss_laguerre(shape - 1.0)
     theta = 0.65 + 0.2 * np.abs(z)
     u = theta[:, None] * t_nodes[None, :]
     joint = z_w[:, None] * t_w[None, :]

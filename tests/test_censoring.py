@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from costsense import (
     CIScenario,
@@ -213,3 +215,42 @@ def test_gamma_zero_fits_are_unbiased_under_censoring():
     effects = np.asarray(effects)
     se = effects.std(ddof=1) / np.sqrt(len(effects))
     assert abs(effects.mean() - 1.0) < 3.0 * se
+
+
+# Tie-heavy follow-up: a few integer times, each record censored or not.
+_FOLLOW_UP = st.lists(st.tuples(st.integers(1, 6), st.booleans()), min_size=1, max_size=60)
+
+
+def _product_limit(times, uncensored):
+    """Textbook censoring Kaplan-Meier, one pass over the records per time."""
+    jump_times, values, survival = [], [], 1.0
+    for t in sorted(set(times)):
+        censored_here = sum(1 for s, u in zip(times, uncensored) if s == t and not u)
+        if censored_here:
+            at_risk = sum(1 for s in times if s >= t)
+            survival *= 1.0 - censored_here / at_risk
+            jump_times.append(t)
+            values.append(survival)
+    return jump_times, values
+
+
+@given(_FOLLOW_UP)
+def test_km_equals_naive_product_limit(follow_up):
+    times = [float(t) for t, _ in follow_up]
+    uncensored = [u for _, u in follow_up]
+    surv = km_censoring_survival(times, uncensored)
+    jump_times, values = _product_limit(times, uncensored)
+    np.testing.assert_array_equal(surv.jump_times, jump_times)
+    np.testing.assert_array_equal(surv.values, values)
+
+
+@given(_FOLLOW_UP, st.booleans())
+def test_ipw_weight_laws(follow_up, stratify):
+    times = [float(t) for t, _ in follow_up]
+    uncensored = np.array([u for _, u in follow_up])
+    weights = ipw_weights(_dataset(times, uncensored), stratify_by_arm=stratify)
+    assert np.all(weights[~uncensored] == 0.0)
+    assert np.all(weights[uncensored] >= 1.0)
+    complete = ipw_weights(_dataset(times, np.ones(len(times), dtype=bool)),
+                           stratify_by_arm=stratify)
+    np.testing.assert_array_equal(complete, np.ones(len(times)))

@@ -384,6 +384,44 @@ def test_diagnose_one_covariate_is_a_schema_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, repeated", [("fit", "z"), ("diagnose", "z"), ("fit", "cost")])
+def test_repeated_header_column_is_a_schema_error(tmp_path, capsys, command, repeated):
+    path = tmp_path / "repeated.csv"
+    path.write_text(f"cost,time,event,treat,z,{repeated}\n"
+                    "10.0,1.0,1,0,0.1,20.0\n"
+                    "12.0,2.0,1,1,0.3,22.0\n"
+                    "11.0,3.0,0,0,0.5,21.0\n")
+    status, out, err = _run(capsys, command, "--input", str(path))
+    assert status == 2
+    assert out == ""
+    assert err.startswith("error: schema-error:")
+    assert f"'{repeated}'" in err
+    assert "Traceback" not in err
+
+
+def test_diagnose_covariate_equal_to_treatment_is_separation(tmp_path, capsys):
+    dataset = load_dataset(_two_covariate_csv(tmp_path))
+    path = tmp_path / "leaky.csv"
+    save_dataset(path, CostDataset(
+        cost=dataset.cost,
+        time=dataset.time,
+        uncensored=dataset.uncensored,
+        treatment=dataset.treatment,
+        covariates=np.column_stack([dataset.covariates, dataset.treatment]),
+        covariate_names=dataset.covariate_names + ("leak",),
+    ))
+    status, out, err = _run(capsys, "diagnose", "--input", str(path))
+    assert status == 1
+    assert out == ""
+    assert err.startswith("error: separation:")
+    assert "'leak'" in err
+    assert "Traceback" not in err
+    # fit keeps its rank check: the covariate is collinear with treatment.
+    status, _, err = _run(capsys, "fit", "--input", str(path))
+    assert status == 1
+    assert err.startswith("error: singular-design:")
+
+
 def test_diagnose_one_treatment_arm_is_an_empty_fit(tmp_path, capsys):
     treated_only = load_dataset(_two_covariate_csv(tmp_path))
     treated_only = CostDataset(
@@ -438,6 +476,34 @@ def test_module_entry_point_runs(tmp_path):
     assert "usage:" in result.stdout
     for command in ("fit", "adjust", "sweep", "simulate", "diagnose", "synth"):
         assert command in result.stdout
+
+
+def test_runtime_never_imports_scipy(tmp_path):
+    config = tmp_path / "cd.ini"
+    config.write_text(
+        "[scenario cd_gamma]\nkind = cd\nfamily = gamma\n"
+        "phi1 = -1\nphi2 = 1\nphi3 = 0.5\nn = 100\ngamma = 0.5\n\n"
+        "[scenario cd_poisson]\nkind = cd\nfamily = poisson\n"
+        "phi1 = -1\nphi2 = 1\nphi3 = 0.5\nn = 100\ngamma = 0.5\n"
+    )
+    script = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+        "import costsense\n"
+        "print(scipy_modules())\n"
+        "from costsense.cli import main\n"
+        f"status = main(['simulate', '--input', {str(config)!r}, '--seed', '3', '--reps', '2',\n"
+        f"               '--output', {str(tmp_path / 'out.csv')!r}])\n"
+        "print(status, scipy_modules())\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[0] == "[]"
+    assert result.stdout.splitlines()[-1] == "0 []"
+    rows = _rows((tmp_path / "out.csv").read_text())
+    assert [row["scenario"] for row in rows] == ["cd_gamma", "cd_poisson"]
 
 
 def test_missing_subcommand_exits_with_usage_error(capsys):

@@ -20,8 +20,7 @@ from helpers import tiny_dataset
 def test_dataset_basic_accessors():
     ds = tiny_dataset()
     assert len(ds) == 4
-    assert ds.n_records == 4
-    assert ds.n_covariates == 1
+    assert ds.covariates.shape[1] == 1
     assert ds.covariate_names == ("z1",)
     assert ds.censoring_rate == 0.0
 
@@ -120,7 +119,7 @@ def test_load_header_file(tmp_path):
         "55.25,1.5,1,0,1.0\n",
     )
     ds = load_dataset(path)
-    assert ds.n_records == 3
+    assert len(ds) == 3
     assert ds.covariate_names == ("z1",)
     np.testing.assert_array_equal(ds.cost, [100.5, 80.0, 55.25])
     np.testing.assert_array_equal(ds.uncensored, [True, False, True])
@@ -152,7 +151,7 @@ def test_load_positional_schema_headerless(tmp_path):
         path,
         schema={"treat": 0, "cost": 1, "time": 2, "event": 3, "covariates": [4]},
     )
-    assert ds.n_records == 2
+    assert len(ds) == 2
     assert ds.covariate_names == ("z1",)
     np.testing.assert_array_equal(ds.cost, [12.5, 9.0])
     np.testing.assert_array_equal(ds.treatment, [1, 0])

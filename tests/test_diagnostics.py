@@ -4,7 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import expit
+from scipy.stats import rankdata
 
 from costsense import (
     CostDataset,
@@ -17,7 +20,7 @@ from costsense import (
     irls_fit,
     loo_correlation_report,
 )
-from costsense.diagnostics import CorrelationReport
+from costsense.diagnostics import CorrelationReport, _average_ranks
 from costsense.glm import DesignSpec
 
 
@@ -216,3 +219,9 @@ def test_flagged_threshold_boundary():
         largest_individual_corr_control=float("nan"),
     )
     assert not nan_report.flagged()
+
+
+@given(st.lists(st.integers(-3, 3) | st.sampled_from([0.5, 1e-300, -2.25]), min_size=1, max_size=60))
+def test_average_ranks_equal_scipy_rankdata(values):
+    a = np.asarray(values, dtype=np.float64)
+    np.testing.assert_array_equal(_average_ranks(a), rankdata(a))

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.special import ndtri
 
 from costsense import (
     ApparentEffect,
@@ -102,6 +105,22 @@ def test_closed_forms_match_numeric_oracles():
             params, gamma = draw_admissible(family, rng)
             closed = log_mgf(family, params, gamma)
             assert closed == pytest.approx(numeric_log_mgf(params, gamma), abs=1e-9)
+
+
+@given(st.floats(0.5, 0.9999))
+def test_z_quantile_tracks_scipy_ndtri(level):
+    # Both are rational approximations good to a few ulps (ndtri up to 5,
+    # NormalDist.inv_cdf up to 4, against a 30-digit reference), so they
+    # agree to within the sum of the two.
+    reference = ndtri(0.5 + level / 2.0)
+    assert abs(z_quantile(level) - reference) <= 8 * np.spacing(reference)
+
+
+def test_z_quantile_common_levels_match_scipy_ndtri():
+    for level in (0.5, 0.8, 0.9, 0.95, 0.99, 0.999, 0.9999):
+        assert abs(z_quantile(level) - ndtri(0.5 + level / 2.0)) <= 1e-15
+    # Within an ulp of 1 the upper tail point rounds to 1, where ndtri is inf.
+    assert z_quantile(1.0 - 2.0**-53) == ndtri(1.0) == math.inf
 
 
 def test_z_quantile_frozen_values():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import roots_genlaguerre, roots_hermitenorm
 
 from costsense import (
     BernoulliParams,
@@ -31,8 +32,11 @@ from costsense import (
 from costsense import sensitivity
 from costsense.simulation import (
     _MAX_REGENERATIONS,
+    _QUAD_NODES,
     _U_STREAM,
     _cd_marginal_params,
+    _gauss_hermite,
+    _gauss_laguerre,
     _rng,
     _sample_confounder,
 )
@@ -448,6 +452,19 @@ def test_synthetic_cohort_recovers_its_generative_ratio():
 
     cohort = zero_cost_shift(synthetic_cohort(seed=20260817))
     fit = fit_censored_cost(cohort)
-    apparent = ApparentEffect.from_fit(fit)
+    apparent = ApparentEffect(beta_star=float(fit.coefficients[1]),
+                              se=float(np.sqrt(fit.covariance[1, 1])))
     lo, hi = apparent.ratio_ci
     assert lo < 0.873 < hi
+
+
+def test_quadrature_rules_match_scipy():
+    nodes, weights = _gauss_hermite()
+    ref_nodes, ref_weights = roots_hermitenorm(_QUAD_NODES)
+    np.testing.assert_allclose(nodes, ref_nodes, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(weights, ref_weights / ref_weights.sum(), rtol=0, atol=1e-13)
+    for alpha in (-0.5, 0.0, 1.5):
+        nodes, weights = _gauss_laguerre(alpha)
+        ref_nodes, ref_weights = roots_genlaguerre(_QUAD_NODES, alpha)
+        np.testing.assert_allclose(nodes, ref_nodes, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(weights, ref_weights / ref_weights.sum(), rtol=0, atol=1e-13)
