@@ -25,6 +25,7 @@ from .diagnostics import (
 from .errors import (
     ConfigError,
     CorrelationModelError,
+    CostOverflowError,
     CostSenseError,
     DidNotConvergeError,
     EmptyDatasetError,
@@ -85,6 +86,7 @@ __all__ = [
     "CorrelationModelError",
     "CorrelationReport",
     "CostDataset",
+    "CostOverflowError",
     "CostSenseError",
     "DidNotConvergeError",
     "EmptyDatasetError",

@@ -54,9 +54,6 @@ class StepSurvival:
         padded = np.concatenate(([1.0], self.values))
         return padded[idx]
 
-    def __call__(self, t):
-        return self.evaluate(t)
-
 
 def km_censoring_survival(times, uncensored) -> StepSurvival:
     """Kaplan-Meier survival of the censoring distribution.
@@ -64,7 +61,8 @@ def km_censoring_survival(times, uncensored) -> StepSurvival:
     Censoring is the event here; failures count as censored observations of
     the censoring time. At a tied time, failures stay in the risk set for
     the censoring event and leave afterwards, so the factor at time ``t`` is
-    ``1 - (#censorings at t) / (#records with time >= t)``.
+    ``1 - (#censorings at t) / (#records with time >= t)``. One cumulative
+    product multiplies the factors in time order, as a running product would.
     """
     times = np.asarray(times, dtype=np.float64)
     uncensored = np.asarray(uncensored, dtype=bool)
@@ -79,18 +77,12 @@ def km_censoring_survival(times, uncensored) -> StepSurvival:
     t_sorted = times[order]
     censor_event = ~uncensored[order]
 
-    distinct, start_idx, counts = np.unique(t_sorted, return_index=True, return_counts=True)
-    n = times.size
-    jump_times, values = [], []
-    survival = 1.0
-    for t, start, count in zip(distinct, start_idx, counts):
-        at_risk = n - start
-        d = int(np.count_nonzero(censor_event[start : start + count]))
-        if d:
-            survival *= 1.0 - d / at_risk
-            jump_times.append(t)
-            values.append(survival)
-    return StepSurvival(np.array(jump_times), np.array(values))
+    distinct, start_idx = np.unique(t_sorted, return_index=True)
+    censorings = np.add.reduceat(censor_event, start_idx, dtype=np.intp)
+    at_risk = times.size - start_idx
+    jumps = censorings > 0
+    values = np.cumprod(1.0 - censorings[jumps] / at_risk[jumps])
+    return StepSurvival(distinct[jumps], values)
 
 
 def _weights_from_survival(times, uncensored, survival: StepSurvival) -> np.ndarray:
@@ -164,22 +156,20 @@ def fit_censored_cost(
     coincides with the unweighted fit.
     """
     weights = ipw_weights(dataset, stratify_by_arm=stratify_censoring)
-    X, _ = cost_design(dataset)
-    spec = DesignSpec(
-        response=dataset.cost, design=X, weights=weights, family=Family.LOG_GAMMA
-    )
-    return irls_fit(spec, tolerance=tolerance, max_iterations=max_iterations)
+    return _fit_cost(dataset, cost_design(dataset)[0], weights, tolerance, max_iterations)
 
 
 def fit_cost_unweighted(
     dataset: CostDataset, tolerance: float = 1e-8, max_iterations: int = 100
 ) -> FitResult:
     """Plain (unweighted) multiplicative cost regression, ignoring censoring."""
-    X, _ = cost_design(dataset)
-    spec = DesignSpec(
-        response=dataset.cost,
-        design=X,
-        weights=np.ones(len(dataset)),
-        family=Family.LOG_GAMMA,
-    )
+    weights = np.ones(len(dataset))
+    return _fit_cost(dataset, cost_design(dataset)[0], weights, tolerance, max_iterations)
+
+
+def _fit_cost(dataset: CostDataset, design, weights, tolerance: float = 1e-8,
+              max_iterations: int = 100) -> FitResult:
+    """Log-link regression of the costs on ``design`` with ``weights``."""
+    spec = DesignSpec(response=dataset.cost, design=design, weights=weights,
+                      family=Family.LOG_GAMMA)
     return irls_fit(spec, tolerance=tolerance, max_iterations=max_iterations)

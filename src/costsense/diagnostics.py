@@ -19,7 +19,7 @@ import numpy as np
 
 from .data import CostDataset
 from .errors import EmptyFitError, SchemaError, SeparationError
-from .glm import DesignSpec, Family, expit, irls_fit
+from .glm import DesignSpec, Family, _canonical_rows, _newton, expit
 
 WITHIN_STRATUM_THRESHOLD = 0.15
 
@@ -30,9 +30,10 @@ def _fit_propensity(response: np.ndarray, covariates: np.ndarray, names) -> np.n
     design = np.column_stack([np.ones(n), covariates])
     spec = DesignSpec(response=response, design=design, weights=np.ones(n),
                       family=Family.LOGIT_BINOMIAL)
-    fit = irls_fit(spec)
-    scores = expit(design @ fit.coefficients)
-    _raise_on_separation(response, scores, fit.coefficients, covariates, names)
+    # Only the coefficients are needed, so skip the covariances irls_fit adds.
+    coefficients = _newton(spec.family, *_canonical_rows(spec))[0]
+    scores = expit(design @ coefficients)
+    _raise_on_separation(response, scores, coefficients, covariates, names)
     return scores
 
 

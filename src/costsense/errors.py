@@ -90,3 +90,13 @@ class SeparationError(EstimationError):
 
 class DidNotConvergeError(EstimationError):
     code = "did-not-converge"
+
+
+class CostOverflowError(EstimationError):
+    """A simulated cost overflowed; ``regenerated`` counts the redraws before it."""
+
+    code = "cost-overflow"
+
+    def __init__(self, message: str, regenerated: int = 0):
+        super().__init__(message)
+        self.regenerated = regenerated

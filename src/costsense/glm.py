@@ -13,9 +13,9 @@ regression. Both are solved by Fisher scoring with step halving on the
 working deviance.
 
 Robust (sandwich) covariance is the default variance estimate; a
-model-based covariance is also attached to every fit. All reductions run
-over a canonical row ordering, so permuting input records reproduces
-results bit for bit.
+model-based covariance, built from the same bread, is also attached to
+every fit. Each fit sorts its rows into one canonical order and runs every
+reduction over it, so permuting input records reproduces results bit for bit.
 """
 
 from __future__ import annotations
@@ -121,29 +121,11 @@ def _deviance(family: Family, y, mu, w) -> float:
     return -2.0 * float(np.sum(w * ll))
 
 
-def _initial_coefficients(spec: DesignSpec, y, w) -> np.ndarray:
-    b = np.zeros(spec.design.shape[1])
-    if spec.family is Family.LOG_GAMMA:
-        mean_y = float(np.sum(w * y) / np.sum(w))
-        if mean_y <= 0:
-            raise EmptyFitError("response is identically zero on the weighted support")
-        b[0] = np.log(mean_y)
-    return b
+def irls_fit(spec: DesignSpec, tolerance: float = 1e-8, max_iterations: int = 100) -> FitResult:
+    """Solve the weighted score equations of ``spec`` and attach both covariances.
 
-
-def irls_fit(
-    spec: DesignSpec, tolerance: float = 1e-8, max_iterations: int = 100
-) -> FitResult:
-    """Solve the weighted score equations of ``spec`` by Newton iteration.
-
-    The iteration starts from a log-mean intercept (``LOG_GAMMA``) or zeros
-    (``LOGIT_BINOMIAL``) and stops when the largest relative coefficient
-    change falls below ``tolerance``. A step that increases the deviance is
-    halved up to ten times. Non-finite coefficients, a linear predictor
-    beyond the exp-overflow guard, or normal equations that turn singular
-    end the fit with ``converged=False``. The design has full rank by then,
-    so singular normal equations mean the logit weights ``p(1 - p)`` have
-    vanished: the fit is diverging, as it does under separation.
+    The rows are put in canonical order once, for :func:`_newton` and
+    :func:`_finish` alike.
 
     Raises
     ------
@@ -153,7 +135,22 @@ def irls_fit(
         The design is rank deficient on the positively weighted rows.
     """
     y, X, w = _canonical_rows(spec)
+    return _finish(spec.family, y, X, w, *_newton(spec.family, y, X, w, tolerance, max_iterations))
 
+
+def _newton(family: Family, y, X, w, tolerance: float = 1e-8, max_iterations: int = 100):
+    """Newton iteration on canonically ordered rows.
+
+    Returns ``(coefficients, converged, iterations, n_effective)``. The
+    iteration starts from a log-mean intercept (``LOG_GAMMA``) or zeros
+    (``LOGIT_BINOMIAL``) and stops when the largest relative coefficient
+    change falls below ``tolerance``. A step that increases the deviance is
+    halved up to ten times. Non-finite coefficients, a linear predictor
+    beyond the exp-overflow guard, or normal equations that turn singular
+    end the fit with ``converged=False``. The design has full rank by then,
+    so singular normal equations mean the logit weights ``p(1 - p)`` have
+    vanished: the fit is diverging, as it does under separation.
+    """
     pos = w > 0
     n_eff = int(np.count_nonzero(pos))
     p = X.shape[1]
@@ -164,12 +161,16 @@ def irls_fit(
             "design is rank deficient on the positively weighted records"
         )
 
-    b = _initial_coefficients(spec, y, w)
+    b = np.zeros(p)
+    if family is Family.LOG_GAMMA:
+        mean_y = float(np.sum(w * y) / np.sum(w))
+        if mean_y <= 0:
+            raise EmptyFitError("response is identically zero on the weighted support")
+        b[0] = np.log(mean_y)
     eta = X @ b
-    mu, resid, info = _family_terms(spec.family, eta, y)
-    dev = _deviance(spec.family, y, mu, w)
+    mu, resid, info = _family_terms(family, eta, y)
+    dev = _deviance(family, y, mu, w)
 
-    converged = False
     iterations = 0
     for iterations in range(1, max_iterations + 1):
         score = X.T @ (w * resid)
@@ -177,7 +178,7 @@ def irls_fit(
         try:
             step = np.linalg.solve(bread, score)
         except np.linalg.LinAlgError:
-            return _finish(spec, b, converged=False, iterations=iterations, n_eff=n_eff)
+            return b, False, iterations, n_eff
 
         # Step halving: if the full Newton step worsens the deviance, retreat
         # up to ten times, then accept whatever remains.
@@ -185,8 +186,8 @@ def irls_fit(
         for _ in range(_MAX_HALVINGS + 1):
             eta_new = X @ b_new
             if np.all(np.isfinite(b_new)) and np.max(np.abs(eta_new)) <= _ETA_MAX:
-                mu_new, _, _ = _family_terms(spec.family, eta_new, y)
-                dev_new = _deviance(spec.family, y, mu_new, w)
+                mu_new, _, _ = _family_terms(family, eta_new, y)
+                dev_new = _deviance(family, y, mu_new, w)
                 if np.isfinite(dev_new) and dev_new <= dev + 1e-10 * (1.0 + abs(dev)):
                     break
             step = step / 2.0
@@ -194,27 +195,30 @@ def irls_fit(
 
         eta_new = X @ b_new
         if not np.all(np.isfinite(b_new)) or np.max(np.abs(eta_new)) > _ETA_MAX:
-            return _finish(spec, b, converged=False, iterations=iterations, n_eff=n_eff)
+            return b, False, iterations, n_eff
 
         rel_change = float(np.max(np.abs(b_new - b) / np.maximum(1.0, np.abs(b_new))))
         b = b_new
         eta = eta_new
-        mu, resid, info = _family_terms(spec.family, eta, y)
-        dev = _deviance(spec.family, y, mu, w)
+        mu, resid, info = _family_terms(family, eta, y)
+        dev = _deviance(family, y, mu, w)
         if not np.isfinite(dev):
-            return _finish(spec, b, converged=False, iterations=iterations, n_eff=n_eff)
+            return b, False, iterations, n_eff
         if rel_change <= tolerance:
-            converged = True
-            break
+            return b, True, iterations, n_eff
 
-    return _finish(spec, b, converged=converged, iterations=iterations, n_eff=n_eff)
+    return b, False, iterations, n_eff
 
 
-def _finish(spec, b, converged, iterations, n_eff) -> FitResult:
+def _finish(family: Family, y, X, w, b, converged, iterations, n_eff) -> FitResult:
+    """Package a solution. On sorted ``y, X, w`` it builds the residuals and the
+    bread once for both covariances, which are NaN when the fit did not converge."""
     p = b.shape[0]
     if converged:
-        covariance = sandwich_covariance(spec, b)
-        model_cov = model_covariance(spec, b)
+        _, resid, info = _family_terms(family, X @ b, y)
+        bread = (X * (w * info)[:, None]).T @ X
+        covariance = sandwich_covariance(bread, X * (w * resid)[:, None])
+        model_cov = model_covariance(bread, family, w, resid, n_eff)
     else:
         covariance = np.full((p, p), np.nan)
         model_cov = np.full((p, p), np.nan)
@@ -228,24 +232,10 @@ def _finish(spec, b, converged, iterations, n_eff) -> FitResult:
     )
 
 
-def score_matrices(spec: DesignSpec, coefficients: np.ndarray):
-    """Return ``(bread, meat)`` evaluated at ``coefficients``.
-
-    Bread is the derivative of the score; meat is the sum of outer products
-    of the per-record weighted scores.
-    """
-    y, X, w = _canonical_rows(spec)
-    eta = X @ np.asarray(coefficients, dtype=np.float64)
-    _, resid, info = _family_terms(spec.family, eta, y)
-    bread = (X * (w * info)[:, None]).T @ X
-    scores = X * (w * resid)[:, None]
+def sandwich_covariance(bread: np.ndarray, scores: np.ndarray) -> np.ndarray:
+    """Robust covariance ``A^{-1} B A^{-T}``: A is the bread (the derivative of the
+    score), B the meat, the sum of outer products of the per-record ``scores``."""
     meat = scores.T @ scores
-    return bread, meat
-
-
-def sandwich_covariance(spec: DesignSpec, coefficients: np.ndarray) -> np.ndarray:
-    """Robust covariance ``A^{-1} B A^{-T}`` for the fitted coefficients."""
-    bread, meat = score_matrices(spec, coefficients)
     try:
         inner = np.linalg.solve(bread, meat)
         cov = np.linalg.solve(bread, inner.T).T
@@ -254,25 +244,15 @@ def sandwich_covariance(spec: DesignSpec, coefficients: np.ndarray) -> np.ndarra
     return (cov + cov.T) / 2.0
 
 
-def model_covariance(spec: DesignSpec, coefficients: np.ndarray) -> np.ndarray:
+def model_covariance(bread: np.ndarray, family: Family, w, resid, n_eff: int) -> np.ndarray:
     """Model-based covariance: inverse bread, with a moment dispersion
-    estimate for the ``LOG_GAMMA`` family."""
-    y, X, w = _canonical_rows(spec)
-    eta = X @ np.asarray(coefficients, dtype=np.float64)
-    _, resid, info = _family_terms(spec.family, eta, y)
-    bread = (X * (w * info)[:, None]).T @ X
+    estimate from the score residuals ``resid`` for the ``LOG_GAMMA`` family."""
     try:
         inv = np.linalg.inv(bread)
     except np.linalg.LinAlgError:
         raise SingularDesignError("bread matrix is singular") from None
 
-    if spec.family is Family.LOG_GAMMA:
-        pos = w > 0
-        n_eff = int(np.count_nonzero(pos))
-        p = X.shape[1]
-        if n_eff > p:
-            pearson = float(np.sum(w * resid**2)) / (n_eff - p)
-        else:
-            pearson = np.nan
-        inv = inv * pearson
+    if family is Family.LOG_GAMMA:
+        p = bread.shape[0]
+        inv = inv * (float(np.sum(w * resid**2)) / (n_eff - p) if n_eff > p else np.nan)
     return (inv + inv.T) / 2.0

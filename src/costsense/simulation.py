@@ -34,10 +34,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .censoring import ipw_weights, fit_censored_cost
+from .censoring import _fit_cost, cost_design, ipw_weights
 from .data import CostDataset
 from .diagnostics import _corr
-from .errors import CorrelationModelError, DidNotConvergeError, EmptyFitError, EstimationError
+from .errors import CorrelationModelError, CostOverflowError, DidNotConvergeError
+from .errors import EmptyFitError, EstimationError
 from .glm import DesignSpec, Family, expit, irls_fit
 from .sensitivity import (
     BernoulliParams,
@@ -241,8 +242,7 @@ class PropensityScenario:
         u, z = draws[:, 0], draws[:, 1:]
         assign = expit(_PROPENSITY_INTERCEPT + z @ np.asarray(_PROPENSITY_SLOPES))
         x = (rng.random(n) < assign).astype(float)
-        mean = np.exp(5.0 + x + self.gamma * u + z.sum(axis=1))
-        cost = rng.gamma(mean, scale=1.0)
+        cost = _draw_costs(rng, 5.0 + x + self.gamma * u + z.sum(axis=1), replication)
         dataset = CostDataset(
             cost=cost,
             time=np.ones(n),
@@ -311,10 +311,20 @@ def _sample_conditional_confounder(
     return rng.gamma(0.5, scale=0.65 + 0.2 * np.abs(z))
 
 
+def _draw_costs(rng, log_mean, replication: int, regenerated: int = 0) -> np.ndarray:
+    """Gamma costs with mean and variance ``exp(log_mean)``; CostOverflowError if one overflows."""
+    with np.errstate(over="ignore"):
+        cost = rng.gamma(np.exp(log_mean), scale=1.0)
+    if not np.all(np.isfinite(cost)):
+        raise CostOverflowError(f"replication {replication}: a simulated cost overflows", regenerated)
+    return cost
+
+
 def _assemble(scenario, replication: int, x, z, u, stream_base: int = 0) -> CostDataset:
     seed = scenario.seed
-    mean = np.exp(scenario.alpha + scenario.beta_true * x + scenario.gamma * u + scenario.theta_z * z)
-    cost = _rng(seed, replication, stream_base + _COST_STREAM).gamma(mean, scale=1.0)
+    log_mean = scenario.alpha + scenario.beta_true * x + scenario.gamma * u + scenario.theta_z * z
+    cost = _draw_costs(_rng(seed, replication, stream_base + _COST_STREAM), log_mean, replication,
+                       stream_base // _ATTEMPT_STRIDE)
     censored = _rng(seed, replication, stream_base + _STATUS_STREAM).random(x.size) < scenario.censor_prob
     fail_time = _rng(seed, replication, stream_base + _FAIL_STREAM).exponential(5.0, x.size)
     censor_time = _rng(seed, replication, stream_base + _CENSOR_STREAM).uniform(0.0, 10.0, x.size)
@@ -518,13 +528,15 @@ def run_replication(scenario, replication: int, fit_true_model: bool = False,
     ``level`` sets the nominal confidence level whose intervals the
     coverage indicators score. Records carry the within-arm correlations
     of U with the scenario's ``partner``, NaN when it has none. A draw
-    that cannot be generated, or a partner or cost fit that fails, gives a
-    record with ``converged=False``; an undrawable replication counts
-    ``_MAX_REGENERATIONS`` regenerations.
+    that cannot be generated, a cost that overflows, or a partner or cost
+    fit that fails gives a record with ``converged=False``; an undrawable
+    replication counts ``_MAX_REGENERATIONS`` regenerations. The
+    true-model refit reuses the cost fit's weights and design.
     """
     nan = float("nan")
     corr_treated = corr_control = nan
-    # generate raises an EstimationError only once every regeneration failed.
+    # generate raises an EstimationError once every regeneration failed, or a
+    # CostOverflowError that carries the count so far.
     regenerated = _MAX_REGENERATIONS
     try:
         dataset, u, regenerated = scenario.generate(replication)
@@ -533,8 +545,12 @@ def run_replication(scenario, replication: int, fit_true_model: bool = False,
             treated = dataset.treatment == 1.0
             corr_treated = _corr(u[treated], partner[treated], "pearson")
             corr_control = _corr(u[~treated], partner[~treated], "pearson")
-        fit = fit_censored_cost(dataset)
-    except EstimationError:
+        weights = ipw_weights(dataset)
+        design, _ = cost_design(dataset)
+        fit = _fit_cost(dataset, design, weights)
+    except EstimationError as error:
+        if isinstance(error, CostOverflowError):
+            regenerated = error.regenerated
         return ReplicationRecord(replication, False, nan, nan, nan, False, False,
                                  corr_treated, corr_control, regenerated, nan)
 
@@ -549,21 +565,13 @@ def run_replication(scenario, replication: int, fit_true_model: bool = False,
 
     beta_true_model = nan
     if fit_true_model:
-        design = np.column_stack([
-            np.ones(len(dataset)), dataset.treatment, dataset.covariates, u,
-        ])
-        spec = DesignSpec(
-            response=dataset.cost,
-            design=design,
-            weights=ipw_weights(dataset),
-            family=Family.LOG_GAMMA,
-        )
+        # The model that sees U: the same weights, with U as a last column.
         try:
-            full = irls_fit(spec)
+            full = _fit_cost(dataset, np.column_stack([design, u]), weights)
+            if full.converged:
+                beta_true_model = float(full.coefficients[1])
         except EstimationError:
-            full = None
-        if full is not None and full.converged:
-            beta_true_model = float(full.coefficients[1])
+            pass
 
     return ReplicationRecord(
         replication=replication,

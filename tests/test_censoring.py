@@ -45,9 +45,9 @@ def test_km_hand_example_single_jump():
     np.testing.assert_array_equal(surv.jump_times, [2.0])
     np.testing.assert_allclose(surv.values, [2.0 / 3.0])
     # Right-continuous: the value applies at the jump itself.
-    assert surv(1.999) == 1.0
-    assert surv(2.0) == pytest.approx(2.0 / 3.0)
-    assert surv(100.0) == pytest.approx(2.0 / 3.0)
+    assert surv.evaluate(1.999) == 1.0
+    assert surv.evaluate(2.0) == pytest.approx(2.0 / 3.0)
+    assert surv.evaluate(100.0) == pytest.approx(2.0 / 3.0)
 
 
 def test_km_no_censoring_is_constant_one():

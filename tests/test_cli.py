@@ -361,6 +361,32 @@ def test_simulate_counts_a_hopeless_cd_draw_as_failed_replications(tmp_path, cap
     assert hopeless["regenerated"] == "2000"
 
 
+OVERFLOW_CI_INI = """
+[scenario overflow]
+kind = ci
+family = normal
+mean = 0/800
+gamma = 1
+n_per_arm = 20
+"""
+
+
+def test_simulate_counts_an_overflowing_cost_as_failed_replications(tmp_path, capsys):
+    alone, both = tmp_path / "alone.ini", tmp_path / "both.ini"
+    alone.write_text(SCENARIO_INI)
+    both.write_text(SCENARIO_INI + OVERFLOW_CI_INI)
+    base = ("--seed", "9", "--reps", "2", "--format", "csv")
+    status, out, err = _run(capsys, "simulate", "--input", str(both), *base)
+    assert status == 0
+    assert err == ""
+    bern, overflow = _rows(out)
+    _, alone_out, _ = _run(capsys, "simulate", "--input", str(alone), *base)
+    assert [bern] == _rows(alone_out)
+    assert overflow["converged"] == "0"
+    assert overflow["convergence_failures"] == "2"
+    assert overflow["regenerated"] == "0"
+
+
 def test_simulate_rejects_out_of_domain_correction_before_running(tmp_path, capsys):
     path = tmp_path / "scenarios.ini"
     path.write_text(SCENARIO_INI + (

@@ -21,6 +21,7 @@ from costsense import (
     loo_correlation_report,
 )
 from costsense.diagnostics import CorrelationReport, _average_ranks
+from costsense import glm
 from costsense.glm import DesignSpec
 
 
@@ -191,6 +192,16 @@ def test_full_report_covers_every_covariate_in_order():
     assert [r.covariate for r in reports] == ["z1", "z2", "z3"]
     spearman_reports = correlation_report(ds, method="spearman")
     assert len(spearman_reports) == 3
+
+
+def test_leave_one_out_fits_compute_no_covariance(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a leave-one-out fit computed a covariance")
+
+    monkeypatch.setattr(glm, "sandwich_covariance", refuse)
+    monkeypatch.setattr(glm, "model_covariance", refuse)
+    ds, _, _ = _logistic_design(10, 600, [0.3, -0.2, 0.1])
+    assert [r.covariate for r in correlation_report(ds)] == ["z1", "z2", "z3"]
 
 
 def test_flagged_threshold_boundary():

@@ -5,18 +5,17 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from costsense import EmptyFitError, Family, SingularDesignError, irls_fit
+from costsense import EmptyFitError, Family, SingularDesignError, glm, irls_fit
 from costsense.glm import (
     DesignSpec,
+    _family_terms,
     _xlogy,
     expit,
-    model_covariance,
     sandwich_covariance,
-    score_matrices,
 )
 
 
@@ -90,9 +89,7 @@ def test_sandwich_close_to_model_covariance_when_variance_is_quadratic():
     X = np.column_stack([np.ones(n), x, z])
     spec = _spec(y, X)
     fit = irls_fit(spec)
-    ratio = np.diag(sandwich_covariance(spec, fit.coefficients)) / np.diag(
-        model_covariance(spec, fit.coefficients)
-    )
+    ratio = np.diag(fit.covariance) / np.diag(fit.model_covariance)
     assert np.all(ratio > 0.8)
     assert np.all(ratio < 1.25)
 
@@ -103,7 +100,9 @@ def test_meat_of_replicated_record_is_n_single_outer_products():
     X = np.tile([1.0, 0.7], (reps, 1))
     w = np.full(reps, 1.5)
     b = np.array([0.4, 0.2])
-    _, meat = score_matrices(_spec(y, X, w), b)
+    # With an identity bread the sandwich is the meat itself.
+    _, resid, _ = _family_terms(Family.LOG_GAMMA, X @ b, y)
+    meat = sandwich_covariance(np.eye(2), X * (w * resid)[:, None])
     mu = math.exp(0.4 + 0.2 * 0.7)
     single = 1.5 * (3.0 / mu - 1.0) * np.array([1.0, 0.7])
     np.testing.assert_allclose(meat, reps * np.outer(single, single), rtol=1e-12)
@@ -120,11 +119,7 @@ def test_doubling_weights_changes_neither_estimate_nor_sandwich():
     fit_a = irls_fit(base)
     fit_b = irls_fit(doubled)
     np.testing.assert_array_equal(fit_a.coefficients, fit_b.coefficients)
-    np.testing.assert_allclose(
-        sandwich_covariance(base, fit_a.coefficients),
-        sandwich_covariance(doubled, fit_b.coefficients),
-        rtol=1e-12,
-    )
+    np.testing.assert_allclose(fit_a.covariance, fit_b.covariance, rtol=1e-12)
 
 
 def test_row_permutation_is_bit_identical():
@@ -140,6 +135,52 @@ def test_row_permutation_is_bit_identical():
     np.testing.assert_array_equal(fit_a.covariance, fit_b.covariance)
     np.testing.assert_array_equal(fit_a.model_covariance, fit_b.model_covariance)
     assert fit_a.iterations == fit_b.iterations
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(30, 150), p=st.integers(2, 4),
+       family=st.sampled_from(list(Family)), zero_share=st.sampled_from([0.0, 0.3]))
+def test_row_permutation_is_bit_identical_for_weighted_designs(seed, n, p, family, zero_share):
+    # IPW-like weights: some exactly zero, the rest spread out; a 0/1
+    # column and (for logit) the response give lexsort plenty of ties.
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.integers(0, 2, n), rng.normal(size=(n, p - 2))])
+    w = np.where(rng.random(n) < zero_share, 0.0, rng.uniform(0.2, 3.0, n))
+    eta = X @ rng.uniform(-0.5, 0.5, p)
+    if family is Family.LOG_GAMMA:
+        y = rng.gamma(2.0, np.exp(2.0 + eta) / 2.0)
+    else:
+        y = (rng.random(n) < expit(eta)).astype(np.float64)
+    perm = rng.permutation(n)
+    try:
+        fit_a = irls_fit(_spec(y, X, w, family=family))
+    except SingularDesignError:
+        with pytest.raises(SingularDesignError):
+            irls_fit(_spec(y[perm], X[perm], w[perm], family=family))
+        return
+    fit_b = irls_fit(_spec(y[perm], X[perm], w[perm], family=family))
+    np.testing.assert_array_equal(fit_a.coefficients, fit_b.coefficients)
+    np.testing.assert_array_equal(fit_a.covariance, fit_b.covariance)
+    np.testing.assert_array_equal(fit_a.model_covariance, fit_b.model_covariance)
+    assert (fit_a.converged, fit_a.iterations) == (fit_b.converged, fit_b.iterations)
+
+
+def test_fit_sorts_its_rows_once(monkeypatch):
+    calls = []
+    original = glm._canonical_rows
+
+    def counting_canonical_rows(spec):
+        calls.append(spec)
+        return original(spec)
+
+    monkeypatch.setattr(glm, "_canonical_rows", counting_canonical_rows)
+    rng = np.random.default_rng(8)
+    X = np.column_stack([np.ones(200), rng.normal(size=200)])
+    y = rng.gamma(2.0, np.exp(X @ [1.0, 0.5]) / 2.0)
+    fit = irls_fit(_spec(y, X))
+    assert fit.converged
+    assert np.isfinite(fit.covariance).all() and np.isfinite(fit.model_covariance).all()
+    assert len(calls) == 1
 
 
 def test_scaling_response_shifts_intercept_by_log_factor():

@@ -16,6 +16,7 @@ from costsense import (
     ConfounderFamily,
     ConfounderModel,
     CorrelationModelError,
+    CostOverflowError,
     EmptyFitError,
     GammaParams,
     NormalParams,
@@ -29,7 +30,7 @@ from costsense import (
     run_replications,
     synthetic_cohort,
 )
-from costsense import sensitivity
+from costsense import censoring, sensitivity, simulation
 from costsense.simulation import (
     _MAX_REGENERATIONS,
     _QUAD_NODES,
@@ -181,6 +182,53 @@ def test_cd_gives_up_after_too_many_empty_draws():
     assert not record.converged
     assert record.regenerated == _MAX_REGENERATIONS
     assert math.isnan(record.beta_adjusted)
+
+
+def test_overflowing_cost_is_a_failed_replication():
+    # exp(5 + 1 + 800) overflows, so every treated cost mean is infinite.
+    scenario = CIScenario(family=ConfounderFamily.NORMAL, params_control=NormalParams(0.0, 1.0),
+                          params_treated=NormalParams(800.0, 1.0), gamma=1.0, n_per_arm=20,
+                          seed=3)
+    with pytest.raises(CostOverflowError, match="replication 0"):
+        scenario.generate(0)
+    record = run_replication(scenario, 0)
+    assert not record.converged
+    assert record.regenerated == 0
+    assert math.isnan(record.beta_adjusted)
+
+
+def test_overflowing_cd_draw_reports_its_regenerations():
+    # phi1 = -6 needs regenerations before both arms are filled; the draws
+    # of Z, U and treatment do not depend on gamma, so the overflowing
+    # scenario reaches its costs after as many regenerations as a tame one.
+    tame = _cd_scenario(family=ConfounderFamily.NORMAL, phi1=-6.0, phi2=0.0, phi3=0.0,
+                        n=20, gamma=0.25, censor_prob=0.0, seed=41)
+    wild = _cd_scenario(family=ConfounderFamily.NORMAL, phi1=-6.0, phi2=0.0, phi3=0.0,
+                        n=20, gamma=1000.0, censor_prob=0.0, seed=41)
+    regenerations = [run_replication(tame, rep).regenerated for rep in range(4)]
+    assert sum(regenerations) > 0
+    records = [run_replication(wild, rep) for rep in range(4)]
+    assert [record.regenerated for record in records] == regenerations
+    assert not any(record.converged for record in records)
+
+
+def test_true_model_replication_builds_one_censoring_curve(monkeypatch):
+    calls = []
+    original_km, original_ipw = censoring.km_censoring_survival, simulation.ipw_weights
+
+    def counting_km(*args):
+        calls.append("km")
+        return original_km(*args)
+
+    def counting_ipw(*args):
+        calls.append("ipw")
+        return original_ipw(*args)
+
+    monkeypatch.setattr(censoring, "km_censoring_survival", counting_km)
+    monkeypatch.setattr(simulation, "ipw_weights", counting_ipw)
+    record = run_replication(_bern_scenario(n_per_arm=60), 0, fit_true_model=True)
+    assert record.converged and math.isfinite(record.beta_true_model)
+    assert sorted(calls) == ["ipw", "km"]
 
 
 def test_coverage_degrades_with_censoring():
