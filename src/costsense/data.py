@@ -114,14 +114,12 @@ def _parse_number(token: str, row: int, column: str) -> float:
     return value
 
 
-def _parse_indicator(token: str, row: int, column: str) -> int:
-    value = _parse_number(token, row, column)
-    if value not in (0.0, 1.0):
+def _parse_indicator(token: str, row: int, column: str) -> None:
+    if _parse_number(token, row, column) not in (0.0, 1.0):
         raise ParseError(
             f"row {row}: column '{column}' must be 0 or 1, got {token.strip()!r}",
             row=row,
         )
-    return int(value)
 
 
 def _resolve_header_schema(header: list[str], schema: dict | None):
@@ -192,6 +190,11 @@ def load_dataset(path, schema: dict | None = None) -> CostDataset:
         in a headerless file. An optional ``"covariates"`` entry (list of
         names or indices) restricts which columns are used as covariates.
 
+    The needed columns are converted a whole column at a time with
+    ``float`` and then checked as arrays. Only when that finds a problem
+    are the rows walked one at a time, to name the first bad cell in the
+    error.
+
     Raises
     ------
     SchemaError
@@ -229,35 +232,65 @@ def load_dataset(path, schema: dict | None = None) -> CostDataset:
         positions, cov_idx, cov_names = _resolve_header_schema(header, schema)
 
     width = max(list(positions.values()) + cov_idx) + 1
-    cost, time, event, treat = [], [], [], []
-    covs = []
-    for i, row in enumerate(data_rows, start=1):
+    values = _parse_columns(data_rows, width, [positions[role] for role in ROLE_NAMES] + cov_idx)
+    if values is None:
+        _raise_first_bad_cell(data_rows, width, positions, cov_idx, cov_names)
+    return CostDataset(
+        cost=values[0],
+        time=values[1],
+        uncensored=values[2] == 1.0,
+        treatment=values[3].astype(np.int64),
+        covariates=values[4:].T.copy(),
+        covariate_names=tuple(cov_names),
+    )
+
+
+def _parse_columns(rows, width: int, columns: list[int]) -> np.ndarray | None:
+    """The cells of ``columns`` as floats, one array row per column.
+
+    ``columns`` lists cost, time, event and treat, then the covariates. The
+    result is None when a row is shorter than ``width`` or a cell fails the
+    checks :func:`_raise_first_bad_cell` applies: not a number, not finite,
+    a negative cost, a non-positive time, or an indicator other than 0 or 1.
+    """
+    if min(map(len, rows)) < width:
+        return None
+    transposed = list(zip(*rows))
+    try:
+        values = np.array([np.fromiter(map(float, transposed[j]), np.float64, len(rows))
+                           for j in columns])
+    except ValueError:
+        return None
+    cost, time, indicators = values[0], values[1], values[2:4]
+    if (
+        not np.isfinite(values).all()
+        or (cost < 0).any()
+        or (time <= 0).any()
+        or not ((indicators == 0.0) | (indicators == 1.0)).all()
+    ):
+        return None
+    return values
+
+
+def _raise_first_bad_cell(rows, width: int, positions: dict, cov_idx, cov_names) -> None:
+    """Raise the :class:`ParseError` that names the first bad cell in row order.
+
+    Called once :func:`_parse_columns` has rejected the rows. It checks the
+    same cells by the same rules, one row at a time, so it always finds one.
+    """
+    for i, row in enumerate(rows, start=1):
         if len(row) < width:
             raise ParseError(
                 f"row {i}: expected at least {width} columns, got {len(row)}", row=i
             )
-        c = _parse_number(row[positions["cost"]], i, "cost")
-        if c < 0:
+        if _parse_number(row[positions["cost"]], i, "cost") < 0:
             raise ParseError(f"row {i}: column 'cost' must be nonnegative", row=i)
-        t = _parse_number(row[positions["time"]], i, "time")
-        if t <= 0:
+        if _parse_number(row[positions["time"]], i, "time") <= 0:
             raise ParseError(f"row {i}: column 'time' must be positive", row=i)
-        cost.append(c)
-        time.append(t)
-        event.append(_parse_indicator(row[positions["event"]], i, "event"))
-        treat.append(_parse_indicator(row[positions["treat"]], i, "treat"))
-        covs.append(
-            [_parse_number(row[j], i, cov_names[m]) for m, j in enumerate(cov_idx)]
-        )
-
-    return CostDataset(
-        cost=np.array(cost),
-        time=np.array(time),
-        uncensored=np.array(event, dtype=bool),
-        treatment=np.array(treat),
-        covariates=np.array(covs, dtype=np.float64).reshape(len(cost), len(cov_idx)),
-        covariate_names=tuple(cov_names),
-    )
+        _parse_indicator(row[positions["event"]], i, "event")
+        _parse_indicator(row[positions["treat"]], i, "treat")
+        for m, j in enumerate(cov_idx):
+            _parse_number(row[j], i, cov_names[m])
 
 
 def save_dataset(path, dataset: CostDataset) -> None:

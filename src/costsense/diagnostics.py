@@ -75,14 +75,24 @@ def _corr(a: np.ndarray, b: np.ndarray, method: str) -> float:
 
 
 def _largest_pairwise(column: np.ndarray, others: np.ndarray, method: str) -> float:
-    best = float("nan")
-    for j in range(others.shape[1]):
-        r = _corr(column, others[:, j], method)
-        if np.isnan(r):
-            continue
-        if np.isnan(best) or abs(r) > abs(best):
-            best = r
-    return best
+    """Signed value of the largest-magnitude correlation of ``column`` with a
+    column of ``others``, from one correlation matrix; ties go to the first.
+
+    As in :func:`_corr`, every pair is NaN when there are fewer than 3
+    records, and a pair is skipped when either side is constant.
+    """
+    if column.size < 3:
+        return float("nan")
+    rows = np.vstack([column, others.T])
+    if method == "spearman":
+        rows = np.array([_average_ranks(row) for row in rows])
+    constant = rows.min(axis=1) == rows.max(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.corrcoef(rows)[0, 1:]
+    r[constant[1:] | constant[0]] = np.nan
+    if np.isnan(r).all():
+        return float("nan")
+    return float(r[np.nanargmax(np.abs(r))])
 
 
 @dataclass(frozen=True)
@@ -92,7 +102,9 @@ class CorrelationReport:
     Score correlations use the propensity fitted without this covariate;
     ``largest_individual_*`` is the signed value of the largest-magnitude
     pairwise correlation with any single other covariate within the
-    stratum. Cells with under 3 records or no variation are NaN.
+    stratum, read from one correlation matrix per stratum (on ranks for
+    Spearman, each column ranked once); on equal magnitudes the earlier
+    covariate wins. Cells with under 3 records or no variation are NaN.
     """
 
     covariate: str

@@ -16,6 +16,8 @@ Robust (sandwich) covariance is the default variance estimate; a
 model-based covariance, built from the same bread, is also attached to
 every fit. Each fit sorts its rows into one canonical order and runs every
 reduction over it, so permuting input records reproduces results bit for bit.
+The order is lexicographic over all columns, but a fit whose responses do
+not tie, such as a cost fit on continuous costs, sorts on the response alone.
 """
 
 from __future__ import annotations
@@ -92,13 +94,21 @@ class FitResult:
 
 
 def _canonical_rows(spec: DesignSpec):
-    """Response, design and weights of ``spec`` in canonical row order."""
-    # Lexicographic row order (response first) fixes the summation order,
-    # making every reduction invariant to input permutation.
-    keys = [spec.weights] + [spec.design[:, j] for j in range(spec.design.shape[1] - 1, -1, -1)]
-    keys.append(spec.response)
-    order = np.lexsort(tuple(keys))
-    return spec.response[order], np.ascontiguousarray(spec.design[order]), spec.weights[order]
+    """Response, design and weights of ``spec`` in canonical row order.
+
+    The order is lexicographic on the response, then the design columns,
+    then the weights. When no two responses tie, a stable sort of the
+    response alone already is that order, and the full sort is skipped.
+    """
+    # A fixed row order fixes the summation order, making every reduction
+    # invariant to input permutation.
+    order = np.argsort(spec.response, kind="stable")
+    ordered = spec.response[order]
+    if not np.all(ordered[1:] > ordered[:-1]):
+        columns = [spec.design[:, j] for j in range(spec.design.shape[1] - 1, -1, -1)]
+        order = np.lexsort(tuple([spec.weights] + columns + [spec.response]))
+        ordered = spec.response[order]
+    return ordered, np.ascontiguousarray(spec.design[order]), spec.weights[order]
 
 
 def _family_terms(family: Family, eta: np.ndarray, y: np.ndarray):
@@ -145,11 +155,12 @@ def _newton(family: Family, y, X, w, tolerance: float = 1e-8, max_iterations: in
     iteration starts from a log-mean intercept (``LOG_GAMMA``) or zeros
     (``LOGIT_BINOMIAL``) and stops when the largest relative coefficient
     change falls below ``tolerance``. A step that increases the deviance is
-    halved up to ten times. Non-finite coefficients, a linear predictor
-    beyond the exp-overflow guard, or normal equations that turn singular
-    end the fit with ``converged=False``. The design has full rank by then,
-    so singular normal equations mean the logit weights ``p(1 - p)`` have
-    vanished: the fit is diverging, as it does under separation.
+    halved up to ten times. A weighted mean response that overflows,
+    non-finite coefficients, a linear predictor beyond the exp-overflow
+    guard, or normal equations that turn singular end the fit with
+    ``converged=False``. The design has full rank by then, so singular
+    normal equations mean the logit weights ``p(1 - p)`` have vanished:
+    the fit is diverging, as it does under separation.
     """
     pos = w > 0
     n_eff = int(np.count_nonzero(pos))
@@ -163,9 +174,12 @@ def _newton(family: Family, y, X, w, tolerance: float = 1e-8, max_iterations: in
 
     b = np.zeros(p)
     if family is Family.LOG_GAMMA:
-        mean_y = float(np.sum(w * y) / np.sum(w))
+        with np.errstate(over="ignore"):
+            mean_y = float(np.sum(w * y) / np.sum(w))
         if mean_y <= 0:
             raise EmptyFitError("response is identically zero on the weighted support")
+        if not np.isfinite(mean_y):
+            return b, False, 0, n_eff
         b[0] = np.log(mean_y)
     eta = X @ b
     mu, resid, info = _family_terms(family, eta, y)

@@ -39,7 +39,7 @@ from .data import CostDataset
 from .diagnostics import _corr
 from .errors import CorrelationModelError, CostOverflowError, DidNotConvergeError
 from .errors import EmptyFitError, EstimationError
-from .glm import DesignSpec, Family, expit, irls_fit
+from .glm import DesignSpec, Family, _canonical_rows, _newton, expit
 from .sensitivity import (
     BernoulliParams,
     ConfounderFamily,
@@ -261,11 +261,13 @@ class PropensityScenario:
         if dataset.treatment.min() == dataset.treatment.max():
             raise EmptyFitError("draw left a treatment arm empty")
         design = np.column_stack([np.ones(len(dataset)), dataset.covariates])
-        fit = irls_fit(DesignSpec(response=dataset.treatment, design=design,
-                                  weights=np.ones(len(dataset)), family=Family.LOGIT_BINOMIAL))
-        if not fit.converged:
+        spec = DesignSpec(response=dataset.treatment, design=design,
+                          weights=np.ones(len(dataset)), family=Family.LOGIT_BINOMIAL)
+        # Only the coefficients are needed, so skip the covariances irls_fit adds.
+        coefficients, converged = _newton(spec.family, *_canonical_rows(spec))[:2]
+        if not converged:
             raise DidNotConvergeError("propensity score fit did not converge")
-        return expit(design @ fit.coefficients)
+        return expit(design @ coefficients)
 
 
 def _set_correction(scenario, control: FamilyParams, treated: FamilyParams) -> None:
@@ -529,8 +531,8 @@ def run_replication(scenario, replication: int, fit_true_model: bool = False,
     coverage indicators score. Records carry the within-arm correlations
     of U with the scenario's ``partner``, NaN when it has none. A draw
     that cannot be generated, a cost that overflows, or a partner or cost
-    fit that fails gives a record with ``converged=False``; an undrawable
-    replication counts ``_MAX_REGENERATIONS`` regenerations. The
+    fit that fails gives a record with ``converged=False`` and NaN estimates;
+    an undrawable replication counts ``_MAX_REGENERATIONS`` regenerations. The
     true-model refit reuses the cost fit's weights and design.
     """
     nan = float("nan")
@@ -548,20 +550,21 @@ def run_replication(scenario, replication: int, fit_true_model: bool = False,
         weights = ipw_weights(dataset)
         design, _ = cost_design(dataset)
         fit = _fit_cost(dataset, design, weights)
+        covariance = fit.covariance if variance == "sandwich" else fit.model_covariance
+        se = float(np.sqrt(covariance[1, 1]))
+        if not (fit.converged and np.isfinite(se) and se > 0.0):
+            raise DidNotConvergeError("cost fit did not converge")
     except EstimationError as error:
         if isinstance(error, CostOverflowError):
             regenerated = error.regenerated
         return ReplicationRecord(replication, False, nan, nan, nan, False, False,
                                  corr_treated, corr_control, regenerated, nan)
 
-    covariance = fit.covariance if variance == "sandwich" else fit.model_covariance
     beta_star = float(fit.coefficients[1])
-    se = float(np.sqrt(covariance[1, 1]))
     beta_adjusted = beta_star - scenario.correction
-    converged = bool(fit.converged and np.isfinite(se) and se > 0.0)
     z_crit = z_quantile(level)
-    covered_unadjusted = converged and abs(beta_star - scenario.beta_true) <= z_crit * se
-    covered_adjusted = converged and abs(beta_adjusted - scenario.beta_true) <= z_crit * se
+    covered_unadjusted = abs(beta_star - scenario.beta_true) <= z_crit * se
+    covered_adjusted = abs(beta_adjusted - scenario.beta_true) <= z_crit * se
 
     beta_true_model = nan
     if fit_true_model:
@@ -575,7 +578,7 @@ def run_replication(scenario, replication: int, fit_true_model: bool = False,
 
     return ReplicationRecord(
         replication=replication,
-        converged=converged,
+        converged=True,
         beta_unadjusted=beta_star,
         beta_adjusted=beta_adjusted,
         se=se,

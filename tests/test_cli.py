@@ -387,6 +387,27 @@ def test_simulate_counts_an_overflowing_cost_as_failed_replications(tmp_path, ca
     assert overflow["regenerated"] == "0"
 
 
+def test_simulate_huge_finite_costs_fail_quietly_with_nan_estimates(tmp_path):
+    # Costs near exp(700) are finite, but their weighted mean overflows.
+    config = tmp_path / "huge.ini"
+    config.write_text(OVERFLOW_CI_INI.replace("0/800", "0/700").replace("n_per_arm = 20",
+                                                                        "n_per_arm = 50"))
+    reps = tmp_path / "reps.csv"
+    result = subprocess.run(
+        [sys.executable, "-m", "costsense", "simulate", "--input", str(config), "--seed", "3",
+         "--reps", "3", "--format", "csv", "--rep-output", str(reps)],
+        capture_output=True, text=True, check=False,
+    )
+    assert result.returncode == 0
+    assert result.stderr == ""
+    rows = _rows(reps.read_text())
+    assert len(rows) == 3
+    for row in rows:
+        assert row["converged"] == "false"
+        for column in ("beta_unadjusted", "beta_adjusted", "se", "beta_true_model"):
+            assert row[column] == "nan"
+
+
 def test_simulate_rejects_out_of_domain_correction_before_running(tmp_path, capsys):
     path = tmp_path / "scenarios.ini"
     path.write_text(SCENARIO_INI + (

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from costsense import (
     CostDataset,
@@ -295,3 +297,147 @@ def test_zero_cost_shift_is_not_idempotent():
     twice = zero_cost_shift(once)
     assert once.cost.min() > 0.0
     assert twice.cost[0] > once.cost[0]
+
+
+# Column parse against a per-cell oracle. Tokens cover what ``float`` accepts
+# beyond plain decimals: signs, -0, padding, exponents and underscores.
+_FORMATS = st.sampled_from([repr, lambda v: f" {v!r}\t", lambda v: f"{v:.6e}",
+                             lambda v: f"{v:+.17g}"])
+
+
+def _tokens(values, extras):
+    return st.one_of(st.tuples(values, _FORMATS).map(lambda pair: pair[1](pair[0])),
+                     st.sampled_from(extras))
+
+
+_ROLE_TOKENS = {
+    "cost": _tokens(st.floats(0.0, 1e300), ["0", "-0", " 1_000 ", "1e3", "+2.5", "\t7", "5."]),
+    "time": _tokens(st.floats(1e-300, 1e300), ["1", " 2.5 ", "1_0", "3e-2", ".5"]),
+    "event": st.sampled_from(["0", "1", "-0", "1.0", " 1 ", "0e0", "+1", "0_0"]),
+    "treat": st.sampled_from(["0", "1", "-0", "1.0", " 0 ", "1e0", "+0", "0_1"]),
+}
+_COVARIATE_TOKEN = _tokens(st.floats(allow_nan=False, allow_infinity=False),
+                           ["-0", "0", " -3 ", "1_5", "-2.5e-3", "1E5"])
+_BAD_TOKENS = ["", "  ", "abc", "nan", "inf", "-inf", "--1", "0x10", "1__0", "1e400"]
+# Numbers that only some roles reject: a negative cost, a time that is not
+# positive, an indicator other than 0 or 1.
+_ROLE_BAD_TOKENS = {"cost": ["-1", "-1e-300"], "time": ["0", "-0", "-2"],
+                    "event": ["2", "0.5", "-1"], "treat": ["2", "0.5", "-1"]}
+
+
+@st.composite
+def _valid_table(draw):
+    """Header and rows of a valid cost CSV, columns in a random order."""
+    covariates = [f"z{j + 1}" for j in range(draw(st.integers(0, 3)))]
+    header = draw(st.permutations(["cost", "time", "event", "treat"] + covariates))
+    n = draw(st.integers(1, 8))
+    rows = [[draw(_ROLE_TOKENS.get(name, _COVARIATE_TOKEN)) for name in header]
+            for _ in range(n)]
+    return header, rows
+
+
+@st.composite
+def _corrupted_table(draw):
+    """A valid table with one to three rows cut short or cells made bad."""
+    header, rows = draw(_valid_table())
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["role", "cell", "short"]))
+        if kind == "short":
+            rows[i] = rows[i][:draw(st.integers(1, len(header) - 1))]
+            continue
+        names = [name for name in header[:len(rows[i])]
+                 if kind == "cell" or name in _ROLE_BAD_TOKENS]
+        if names:
+            name = draw(st.sampled_from(names))
+            bad = _ROLE_BAD_TOKENS[name] if kind == "role" else _BAD_TOKENS
+            rows[i][header.index(name)] = draw(st.sampled_from(bad))
+    return header, rows
+
+
+def _write_table(path, header, rows):
+    path.write_text("".join(",".join(row) + "\n" for row in [header, *rows]), encoding="utf-8")
+    return path
+
+
+def _row_by_row_reference(header, rows):
+    """The reader as it was before the column parse: one row, then one cell, at a
+    time, after dropping blank rows."""
+    def number(token, i, column):
+        token = token.strip()
+        if token == "":
+            raise ParseError(f"row {i}: column '{column}' is empty", row=i)
+        try:
+            value = float(token)
+        except ValueError:
+            raise ParseError(f"row {i}: column '{column}': cannot parse {token!r} as a number",
+                             row=i) from None
+        if not np.isfinite(value):
+            raise ParseError(f"row {i}: column '{column}': non-finite value {token!r}", row=i)
+        return value
+
+    def indicator(token, i, column):
+        value = number(token, i, column)
+        if value not in (0.0, 1.0):
+            raise ParseError(f"row {i}: column '{column}' must be 0 or 1, got {token.strip()!r}",
+                             row=i)
+        return int(value)
+
+    rows = [row for row in rows if any(cell.strip() for cell in row)]
+    if not rows:
+        raise EmptyDatasetError("no data rows")
+    at = {name: j for j, name in enumerate(header)}
+    names = [name for name in header if name not in ("cost", "time", "event", "treat")]
+    width = len(header)
+    cost, time, event, treat, covs = [], [], [], [], []
+    for i, row in enumerate(rows, start=1):
+        if len(row) < width:
+            raise ParseError(f"row {i}: expected at least {width} columns, got {len(row)}", row=i)
+        c = number(row[at["cost"]], i, "cost")
+        if c < 0:
+            raise ParseError(f"row {i}: column 'cost' must be nonnegative", row=i)
+        t = number(row[at["time"]], i, "time")
+        if t <= 0:
+            raise ParseError(f"row {i}: column 'time' must be positive", row=i)
+        cost.append(c)
+        time.append(t)
+        event.append(indicator(row[at["event"]], i, "event"))
+        treat.append(indicator(row[at["treat"]], i, "treat"))
+        covs.append([number(row[at[name]], i, name) for name in names])
+    return (np.array(cost), np.array(time), np.array(event, dtype=bool), np.array(treat),
+            np.array(covs, dtype=np.float64).reshape(len(rows), len(names)))
+
+
+def _assert_same_bits(dataset, expected):
+    actual = (dataset.cost, dataset.time, dataset.uncensored, dataset.treatment,
+              dataset.covariates)
+    for got, want in zip(actual, expected):
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(_valid_table())
+def test_column_parse_equals_per_cell_float(tmp_path, table):
+    header, rows = table
+    dataset = load_dataset(_write_table(tmp_path / "valid.csv", header, rows))
+    assert dataset.covariate_names == tuple(h for h in header if h.startswith("z"))
+    _assert_same_bits(dataset, _row_by_row_reference(header, rows))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(_corrupted_table())
+def test_column_parse_names_the_cell_the_row_reader_named(tmp_path, table):
+    header, rows = table
+    path = _write_table(tmp_path / "corrupt.csv", header, rows)
+    try:
+        expected = _row_by_row_reference(header, rows)
+    except EmptyDatasetError:
+        with pytest.raises(EmptyDatasetError):
+            load_dataset(path)
+    except ParseError as error:
+        with pytest.raises(ParseError) as raised:
+            load_dataset(path)
+        assert (str(raised.value), raised.value.row) == (str(error), error.row)
+    else:
+        _assert_same_bits(load_dataset(path), expected)

@@ -20,7 +20,7 @@ from costsense import (
     irls_fit,
     loo_correlation_report,
 )
-from costsense.diagnostics import CorrelationReport, _average_ranks
+from costsense.diagnostics import CorrelationReport, _average_ranks, _corr, _largest_pairwise
 from costsense import glm
 from costsense.glm import DesignSpec
 
@@ -236,3 +236,64 @@ def test_flagged_threshold_boundary():
 def test_average_ranks_equal_scipy_rankdata(values):
     a = np.asarray(values, dtype=np.float64)
     np.testing.assert_array_equal(_average_ranks(a), rankdata(a))
+
+
+def _pairwise_reference(column, others, method):
+    """Every pair's correlation through :func:`_corr`, one pair at a time."""
+    return [_corr(column, others[:, j], method) for j in range(others.shape[1])]
+
+
+def _first_largest(correlations):
+    best = float("nan")
+    for r in correlations:
+        if not np.isnan(r) and (np.isnan(best) or abs(r) > abs(best)):
+            best = r
+    return best
+
+
+@given(st.integers(0, 12), st.integers(1, 5), st.sampled_from(["pearson", "spearman"]),
+       st.data())
+def test_largest_pairwise_equals_the_per_pair_loop(n, k, method, data):
+    # Small integers and halves give constant columns, ties and repeated
+    # columns; their means are exact, so "constant" means the same to both.
+    values = st.integers(-2, 2).map(float) | st.sampled_from([0.5, -1.5])
+    rows = data.draw(st.lists(st.lists(values, min_size=k + 1, max_size=k + 1),
+                              min_size=n, max_size=n))
+    table = np.array(rows, dtype=np.float64).reshape(n, k + 1)
+    column, others = table[:, 0], table[:, 1:]
+    reference = _pairwise_reference(column, others, method)
+    best = _first_largest(reference)
+    got = _largest_pairwise(column, others, method)
+    if np.isnan(best):
+        assert np.isnan(got)
+        return
+    # Pairs whose magnitudes agree to 1e-12 are a tie up to rounding, which
+    # the two computations may break differently; exact ties are tested below.
+    tied = [r for r in reference if not np.isnan(r) and abs(abs(r) - abs(best)) <= 1e-12]
+    assert any(abs(got - r) <= 1e-12 for r in tied), (got, reference)
+    if len(set(tied)) == 1:
+        assert abs(got - best) <= 1e-12
+
+
+@pytest.mark.parametrize("method", ["pearson", "spearman"])
+def test_largest_pairwise_exact_tie_goes_to_the_first_column(method):
+    # Complementary binary columns with exactly half ones: centred, one is
+    # the exact negative of the other, so |r| ties bit for bit.
+    rng = np.random.default_rng(5)
+    column = rng.normal(size=40)
+    b = rng.permutation(np.repeat([0.0, 1.0], 20))
+    constant = np.full(40, 3.0)
+    for others in ([b, 1.0 - b], [1.0 - b, b], [constant, 1.0 - b, b]):
+        others = np.column_stack(others)
+        reference = _pairwise_reference(column, others, method)
+        first = next(r for r in reference if not np.isnan(r))
+        assert _first_largest(reference) == first
+        # The tied pair has opposite signs, so the sign shows which column won.
+        assert _largest_pairwise(column, others, method) == pytest.approx(first, abs=1e-12)
+    assert np.isnan(_largest_pairwise(constant, np.column_stack([b, column]), method))
+    # A constant column is skipped even when its computed mean is not exactly
+    # its value (three 0.1s), where a spread test would see rounding noise.
+    tenths = np.full(3, 0.1)
+    assert np.isnan(_largest_pairwise(column[:3], tenths[:, None], method))
+    assert np.isnan(_largest_pairwise(tenths, column[:3, None], method))
+    assert np.isnan(_largest_pairwise(column[:2], np.column_stack([b, 1.0 - b])[:2], method))

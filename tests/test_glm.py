@@ -165,6 +165,32 @@ def test_row_permutation_is_bit_identical_for_weighted_designs(seed, n, p, famil
     assert (fit_a.converged, fit_a.iterations) == (fit_b.converged, fit_b.iterations)
 
 
+def _lexsorted_rows(spec):
+    keys = [spec.weights] + [spec.design[:, j] for j in range(spec.design.shape[1] - 1, -1, -1)]
+    order = np.lexsort(tuple(keys + [spec.response]))
+    return spec.response[order], spec.design[order], spec.weights[order]
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40),
+       responses=st.sampled_from(["distinct", "ties", "signed zeros"]))
+def test_canonical_rows_equal_the_full_lexsort(seed, n, responses):
+    # Without ties the response alone gives the order; with ties (signed
+    # zeros compare equal) the design columns and weights break them.
+    rng = np.random.default_rng(seed)
+    if responses == "distinct":
+        y = rng.permutation(rng.gamma(2.0, 50.0, n))
+    elif responses == "ties":
+        y = rng.integers(0, 3, n).astype(np.float64)
+    else:
+        y = rng.choice([-0.0, 0.0, 1.0], n)
+    X = np.column_stack([np.ones(n), rng.integers(0, 2, n), rng.choice([-0.0, 0.0, 0.5], n)])
+    w = rng.choice([0.0, 1.0, 2.5], n)
+    spec = _spec(y, X, w)
+    for got, want in zip(glm._canonical_rows(spec), _lexsorted_rows(spec)):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_fit_sorts_its_rows_once(monkeypatch):
     calls = []
     original = glm._canonical_rows

@@ -3,8 +3,10 @@
 The fixtures hold ``fit``, ``sweep`` and ``diagnose`` on ``synth --seed
 20261018`` and ``simulate`` on ``golden/scenarios.ini`` (one censored CI
 scenario, one CD scenario, three propensity scenarios), as written before
-propensity studies ran through the shared replication pipeline. Numeric
-cells are compared at 10 significant digits; text cells exactly.
+propensity studies ran through the shared replication pipeline, and
+``diagnose --spearman`` on the same cohort, as written before the pairwise
+correlations were read from one matrix per arm. Numeric cells are compared
+at 10 significant digits; text cells exactly.
 
 Two differences are expected and exempt. Propensity summary rows now fill
 the columns the separate propensity study left empty, and the
@@ -82,6 +84,18 @@ def test_fit_sweep_diagnose_match_fixtures(cohort, tmp_path, capsys):
         out = tmp_path / fixture
         _run(capsys, *argv, "--output", str(out))
         _assert_matches(_table(out.read_text(encoding="utf-8")), fixture)
+
+
+def test_diagnose_spearman_matches_fixture(cohort, tmp_path, capsys):
+    """``diagnose --spearman`` against output captured before the pairwise
+    correlations were read from one rank correlation matrix per arm.
+
+    The fixture guards that rewritten rank path: the within-arm ranks and
+    the largest-magnitude pairwise pick.
+    """
+    out = tmp_path / "diagnose_spearman.csv"
+    _run(capsys, "diagnose", "--input", str(cohort), "--spearman", "--output", str(out))
+    _assert_matches(_table(out.read_text(encoding="utf-8")), "diagnose_spearman.csv")
 
 
 def test_simulate_matches_fixtures(tmp_path, capsys):

@@ -30,7 +30,7 @@ from costsense import (
     run_replications,
     synthetic_cohort,
 )
-from costsense import censoring, sensitivity, simulation
+from costsense import censoring, glm, sensitivity, simulation
 from costsense.simulation import (
     _MAX_REGENERATIONS,
     _QUAD_NODES,
@@ -229,6 +229,21 @@ def test_true_model_replication_builds_one_censoring_curve(monkeypatch):
     record = run_replication(_bern_scenario(n_per_arm=60), 0, fit_true_model=True)
     assert record.converged and math.isfinite(record.beta_true_model)
     assert sorted(calls) == ["ipw", "km"]
+
+
+def test_propensity_replication_computes_one_sandwich_covariance(monkeypatch):
+    # The score fit needs only coefficients; the cost fit needs its covariance.
+    calls = []
+    original = glm.sandwich_covariance
+
+    def counting_sandwich(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(glm, "sandwich_covariance", counting_sandwich)
+    record = run_replication(PropensityScenario("model1", n=400), 0)
+    assert record.converged
+    assert len(calls) == 1
 
 
 def test_coverage_degrades_with_censoring():
