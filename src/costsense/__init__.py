@@ -11,7 +11,7 @@ measured covariates erodes it.
 from .censoring import (
     cost_design,
     fit_censored_cost,
-    fit_cost_unweighted,
+    fit_cost,
     ipw_weights,
     km_censoring_survival,
 )
@@ -117,7 +117,7 @@ __all__ = [
     "correlation_report",
     "cost_design",
     "fit_censored_cost",
-    "fit_cost_unweighted",
+    "fit_cost",
     "gamma_arms_from_mean_ratio",
     "generate_ci_dataset",
     "ipw_weights",

@@ -142,12 +142,7 @@ def cost_design(dataset: CostDataset):
     return X, names
 
 
-def fit_censored_cost(
-    dataset: CostDataset,
-    stratify_censoring: bool = False,
-    tolerance: float = 1e-8,
-    max_iterations: int = 100,
-) -> FitResult:
+def fit_censored_cost(dataset: CostDataset, stratify_censoring: bool = False) -> FitResult:
     """Censoring-weighted multiplicative cost regression.
 
     Fits the log-link moment model of cost on ``[1, treat, covariates]``
@@ -156,20 +151,11 @@ def fit_censored_cost(
     coincides with the unweighted fit.
     """
     weights = ipw_weights(dataset, stratify_by_arm=stratify_censoring)
-    return _fit_cost(dataset, cost_design(dataset)[0], weights, tolerance, max_iterations)
+    return fit_cost(dataset, cost_design(dataset)[0], weights)
 
 
-def fit_cost_unweighted(
-    dataset: CostDataset, tolerance: float = 1e-8, max_iterations: int = 100
-) -> FitResult:
-    """Plain (unweighted) multiplicative cost regression, ignoring censoring."""
-    weights = np.ones(len(dataset))
-    return _fit_cost(dataset, cost_design(dataset)[0], weights, tolerance, max_iterations)
-
-
-def _fit_cost(dataset: CostDataset, design, weights, tolerance: float = 1e-8,
-              max_iterations: int = 100) -> FitResult:
+def fit_cost(dataset: CostDataset, design, weights) -> FitResult:
     """Log-link regression of the costs on ``design`` with ``weights``."""
     spec = DesignSpec(response=dataset.cost, design=design, weights=weights,
                       family=Family.LOG_GAMMA)
-    return irls_fit(spec, tolerance=tolerance, max_iterations=max_iterations)
+    return irls_fit(spec)

@@ -21,12 +21,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .censoring import fit_censored_cost, fit_cost_unweighted
+from .censoring import cost_design, fit_censored_cost, fit_cost
 from .config import load_adjust_config, load_scenarios, load_sweep_config
 from .data import load_dataset, save_dataset, zero_cost_shift
 from .diagnostics import WITHIN_STRATUM_THRESHOLD, correlation_report
 from .errors import ConfigError, CostSenseError, DidNotConvergeError
-from .sensitivity import ApparentEffect, sweep, z_quantile
+from .sensitivity import ApparentEffect, exp_ratio, sweep, z_quantile
 from .simulation import (
     ReplicationRecord,
     SimulationResult,
@@ -101,7 +101,7 @@ def _load_and_fit(args, path):
     if args.ipw:
         fit = fit_censored_cost(dataset, stratify_censoring=args.stratify_censoring)
     else:
-        fit = fit_cost_unweighted(dataset)
+        fit = fit_cost(dataset, cost_design(dataset)[0], np.ones(len(dataset)))
     if not fit.converged:
         raise DidNotConvergeError(
             f"fit did not converge within {fit.iterations} iterations"
@@ -127,7 +127,7 @@ def cmd_fit(args) -> int:
     for name, estimate, err in zip(names, fit.coefficients, se):
         low, high = estimate - z * err, estimate + z * err
         rows.append([name, float(estimate), float(err), float(low), float(high),
-                     math.exp(estimate), math.exp(low), math.exp(high)])
+                     exp_ratio(estimate), exp_ratio(low), exp_ratio(high)])
 
     treat = rows[1]
     human_rows = [[r[0], _f3(r[1]), _f3(r[2]), _f3(r[3]), _f3(r[4])] for r in rows]
@@ -387,9 +387,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "simulate", help="run Monte Carlo scenario studies",
         description="Run the ci, cd and propensity scenarios of an INI file. Every kind runs "
                     "through one replication pipeline, so --workers, --variance, --level and "
-                    "--rep-output apply to all of them. The summary reports the Monte Carlo "
-                    "standard error of both estimators: mc_standard_error for the adjusted one "
-                    "and mc_standard_error_unadjusted for the unadjusted one.",
+                    "--rep-output apply to all of them.",
     )
     simulate.add_argument("--input", required=True, help="INI file with [scenario NAME] sections")
     simulate.add_argument("--seed", type=int, required=True, help="master seed")

@@ -1,11 +1,9 @@
 """Cost dataset container, CSV ingestion and cost preprocessing.
 
-The on-disk format is a plain CSV. By default the first four columns are
-named ``cost,time,event,treat`` (``event`` is 1 where the cost was fully
-observed, 0 where follow-up was censored) and every remaining column is
-treated as a numeric covariate. A schema mapping can rename the role
-columns, select a covariate subset, or address columns by position for
-headerless files.
+The on-disk format is a plain CSV whose header row names the columns.
+Four of them are required, in any order: ``cost``, ``time``, ``event``
+(1 where the cost was fully observed, 0 where follow-up was censored) and
+``treat``. Every other column is a numeric covariate.
 """
 
 from __future__ import annotations
@@ -122,73 +120,26 @@ def _parse_indicator(token: str, row: int, column: str) -> None:
         )
 
 
-def _resolve_header_schema(header: list[str], schema: dict | None):
-    schema = dict(schema or {})
-    covariate_spec = schema.pop("covariates", None)
+def _resolve_header(header: list[str]):
+    """Positions of the role columns; every other column is a covariate."""
     for j, name in enumerate(header):
         if name in header[:j]:
             raise SchemaError(f"column '{name}' appears more than once in the header")
     positions = {}
-    lookup = {name: i for i, name in enumerate(header)}
     for role in ROLE_NAMES:
-        column = schema.pop(role, role)
-        if column not in lookup:
-            raise SchemaError(f"required column '{column}' not found in header")
-        positions[role] = lookup[column]
-    if schema:
-        raise SchemaError(f"unknown schema keys: {sorted(schema)}")
-    if covariate_spec is None:
-        taken = set(positions.values())
-        cov_idx = [i for i in range(len(header)) if i not in taken]
-        cov_names = [header[i] for i in cov_idx]
-    else:
-        cov_idx, cov_names = [], []
-        for column in covariate_spec:
-            if column not in lookup:
-                raise SchemaError(f"covariate column '{column}' not found in header")
-            cov_idx.append(lookup[column])
-            cov_names.append(column)
-    return positions, cov_idx, cov_names
+        if role not in header:
+            raise SchemaError(f"required column '{role}' not found in header")
+        positions[role] = header.index(role)
+    cov_idx = [i for i in range(len(header)) if i not in positions.values()]
+    return positions, cov_idx, [header[i] for i in cov_idx]
 
 
-def _resolve_positional_schema(schema: dict, width: int):
-    schema = dict(schema)
-    covariate_spec = schema.pop("covariates", None)
-    positions = {}
-    for role in ROLE_NAMES:
-        if role not in schema:
-            raise SchemaError(f"positional schema must map '{role}' to a column index")
-        index = schema.pop(role)
-        if not isinstance(index, int) or not 0 <= index < width:
-            raise SchemaError(f"column index for '{role}' out of range: {index!r}")
-        positions[role] = index
-    if schema:
-        raise SchemaError(f"unknown schema keys: {sorted(schema)}")
-    if covariate_spec is None:
-        taken = set(positions.values())
-        cov_idx = [i for i in range(width) if i not in taken]
-    else:
-        cov_idx = []
-        for index in covariate_spec:
-            if not isinstance(index, int) or not 0 <= index < width:
-                raise SchemaError(f"covariate column index out of range: {index!r}")
-            cov_idx.append(index)
-    cov_names = [f"z{j + 1}" for j in range(len(cov_idx))]
-    return positions, cov_idx, cov_names
-
-
-def load_dataset(path, schema: dict | None = None) -> CostDataset:
+def load_dataset(path) -> CostDataset:
     """Read a cost CSV into a :class:`CostDataset`.
 
-    Parameters
-    ----------
-    path : str or pathlib.Path
-        File to read.
-    schema : dict, optional
-        Role mapping. String values rename header columns, e.g.
-        ``{"cost": "totcost"}``; integer values address columns by position
-        in a headerless file. An optional ``"covariates"`` entry (list of
-        names or indices) restricts which columns are used as covariates.
+    The first row names the columns; ``cost``, ``time``, ``event`` and
+    ``treat`` may come in any order, and every other column is a numeric
+    covariate, in file order. Blank rows are skipped.
 
     The needed columns are converted a whole column at a time with
     ``float`` and then checked as arrays. Only when that finds a problem
@@ -205,33 +156,16 @@ def load_dataset(path, schema: dict | None = None) -> CostDataset:
     EmptyDatasetError
         The file holds no data rows.
     """
-    positional = bool(schema) and any(
-        isinstance(schema.get(role), int) for role in ROLE_NAMES
-    )
     try:
         handle = open(path, newline="", encoding="utf-8")
     except FileNotFoundError:
         raise InputNotFoundError(f"input file not found: {path}") from None
     with handle:
         rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
-
-    if positional:
-        data_rows = rows
-        if not data_rows:
-            raise EmptyDatasetError(f"no data rows in {path}")
-        positions, cov_idx, cov_names = _resolve_positional_schema(
-            schema, width=len(data_rows[0])
-        )
-    else:
-        if not rows:
-            raise EmptyDatasetError(f"no data rows in {path}")
-        header = [cell.strip() for cell in rows[0]]
-        data_rows = rows[1:]
-        if not data_rows:
-            raise EmptyDatasetError(f"no data rows in {path}")
-        positions, cov_idx, cov_names = _resolve_header_schema(header, schema)
-
-    width = max(list(positions.values()) + cov_idx) + 1
+    if len(rows) < 2:
+        raise EmptyDatasetError(f"no data rows in {path}")
+    data_rows, width = rows[1:], len(rows[0])
+    positions, cov_idx, cov_names = _resolve_header([cell.strip() for cell in rows[0]])
     values = _parse_columns(data_rows, width, [positions[role] for role in ROLE_NAMES] + cov_idx)
     if values is None:
         _raise_first_bad_cell(data_rows, width, positions, cov_idx, cov_names)

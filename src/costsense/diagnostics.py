@@ -19,20 +19,14 @@ import numpy as np
 
 from .data import CostDataset
 from .errors import EmptyFitError, SchemaError, SeparationError
-from .glm import DesignSpec, Family, _canonical_rows, _newton, expit
+from .glm import logit_scores
 
 WITHIN_STRATUM_THRESHOLD = 0.15
 
 
 def _fit_propensity(response: np.ndarray, covariates: np.ndarray, names) -> np.ndarray:
     """Fitted treatment probabilities from a logit model on ``covariates``."""
-    n = response.size
-    design = np.column_stack([np.ones(n), covariates])
-    spec = DesignSpec(response=response, design=design, weights=np.ones(n),
-                      family=Family.LOGIT_BINOMIAL)
-    # Only the coefficients are needed, so skip the covariances irls_fit adds.
-    coefficients = _newton(spec.family, *_canonical_rows(spec))[0]
-    scores = expit(design @ coefficients)
+    scores, coefficients, _ = logit_scores(response, covariates)
     _raise_on_separation(response, scores, coefficients, covariates, names)
     return scores
 
@@ -114,10 +108,11 @@ class CorrelationReport:
     largest_individual_corr_treated: float
     largest_individual_corr_control: float
 
-    def flagged(self, threshold: float = WITHIN_STRATUM_THRESHOLD) -> bool:
-        """True when a within-stratum score correlation exceeds the threshold."""
+    def flagged(self) -> bool:
+        """True when a within-stratum score correlation exceeds
+        ``WITHIN_STRATUM_THRESHOLD``."""
         values = [abs(v) for v in (self.corr_treated, self.corr_control) if not np.isnan(v)]
-        return bool(values) and max(values) > threshold
+        return bool(values) and max(values) > WITHIN_STRATUM_THRESHOLD
 
 
 def loo_correlation_report(dataset: CostDataset, covariate: str,

@@ -10,7 +10,9 @@ the score of a log-link model whose variance grows as the square of the
 mean (constant coefficient of variation), the usual shape for
 right-skewed cost data. ``LOGIT_BINOMIAL`` is ordinary logistic
 regression. Both are solved by Fisher scoring with step halving on the
-working deviance.
+working deviance. The iteration converges when no coefficient changes by
+more than a relative 1e-8 (absolute below 1); it gives up after 100
+iterations, and a step that raises the deviance is halved at most 10 times.
 
 Robust (sandwich) covariance is the default variance estimate; a
 model-based covariance, built from the same bread, is also attached to
@@ -30,6 +32,8 @@ import numpy as np
 from .errors import EmptyFitError, SingularDesignError
 
 _ETA_MAX = 700.0  # exp overflows just above this
+_TOLERANCE = 1e-8
+_MAX_ITERATIONS = 100
 _MAX_HALVINGS = 10
 
 
@@ -124,14 +128,14 @@ def _deviance(family: Family, y, mu, w) -> float:
     if family is Family.LOG_GAMMA:
         # Negative quasi-likelihood for variance ~ mu^2, up to a constant
         # in y; convex in the coefficients and finite at y = 0.
-        with np.errstate(divide="ignore", over="ignore"):
-            return 2.0 * float(np.sum(w * (y / mu + np.log(mu))))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ll = _xlogy(y, mu) + _xlogy(1.0 - y, 1.0 - mu)
-    return -2.0 * float(np.sum(w * ll))
+        return 2.0 * float(np.sum(w * (y / mu + np.log(mu))))
+    ll = _xlogy(y, mu) + _xlogy(1.0 - y, 1.0 - mu)
+    # A zero-weight record whose probability saturates against its outcome
+    # has ll = -inf; it must add 0, not 0 * -inf = NaN.
+    return -2.0 * float(np.sum(w * np.where(w > 0, ll, 0.0)))
 
 
-def irls_fit(spec: DesignSpec, tolerance: float = 1e-8, max_iterations: int = 100) -> FitResult:
+def irls_fit(spec: DesignSpec) -> FitResult:
     """Solve the weighted score equations of ``spec`` and attach both covariances.
 
     The rows are put in canonical order once, for :func:`_newton` and
@@ -145,22 +149,40 @@ def irls_fit(spec: DesignSpec, tolerance: float = 1e-8, max_iterations: int = 10
         The design is rank deficient on the positively weighted rows.
     """
     y, X, w = _canonical_rows(spec)
-    return _finish(spec.family, y, X, w, *_newton(spec.family, y, X, w, tolerance, max_iterations))
+    return _finish(spec.family, y, X, w, *_newton(spec.family, y, X, w))
 
 
-def _newton(family: Family, y, X, w, tolerance: float = 1e-8, max_iterations: int = 100):
+def logit_scores(response, covariates):
+    """Logit fit of a 0/1 ``response`` on an intercept plus ``covariates``.
+
+    Returns ``(scores, coefficients, converged)``, the scores being the
+    fitted probabilities. No covariance is computed.
+    """
+    n = len(response)
+    design = np.column_stack([np.ones(n), covariates])
+    spec = DesignSpec(response=response, design=design, weights=np.ones(n),
+                      family=Family.LOGIT_BINOMIAL)
+    coefficients, converged = _newton(spec.family, *_canonical_rows(spec))[:2]
+    return expit(design @ coefficients), coefficients, converged
+
+
+# _newton and _finish check every value that can overflow or turn NaN, so
+# numpy's floating-point warnings are off inside them.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _newton(family: Family, y, X, w):
     """Newton iteration on canonically ordered rows.
 
     Returns ``(coefficients, converged, iterations, n_effective)``. The
     iteration starts from a log-mean intercept (``LOG_GAMMA``) or zeros
     (``LOGIT_BINOMIAL``) and stops when the largest relative coefficient
-    change falls below ``tolerance``. A step that increases the deviance is
-    halved up to ten times. A weighted mean response that overflows,
-    non-finite coefficients, a linear predictor beyond the exp-overflow
-    guard, or normal equations that turn singular end the fit with
-    ``converged=False``. The design has full rank by then, so singular
-    normal equations mean the logit weights ``p(1 - p)`` have vanished:
-    the fit is diverging, as it does under separation.
+    change is at most ``_TOLERANCE``, or gives up after ``_MAX_ITERATIONS``.
+    A step that increases the deviance is halved up to ten times. A weighted
+    mean response that overflows, non-finite coefficients, a linear
+    predictor beyond the exp-overflow guard, or normal equations that turn
+    singular end the fit with ``converged=False``. The design has full rank
+    by then, so singular normal equations mean the logit weights
+    ``p(1 - p)`` have vanished: the fit is diverging, as it does under
+    separation.
     """
     pos = w > 0
     n_eff = int(np.count_nonzero(pos))
@@ -174,8 +196,7 @@ def _newton(family: Family, y, X, w, tolerance: float = 1e-8, max_iterations: in
 
     b = np.zeros(p)
     if family is Family.LOG_GAMMA:
-        with np.errstate(over="ignore"):
-            mean_y = float(np.sum(w * y) / np.sum(w))
+        mean_y = float(np.sum(w * y) / np.sum(w))
         if mean_y <= 0:
             raise EmptyFitError("response is identically zero on the weighted support")
         if not np.isfinite(mean_y):
@@ -186,7 +207,7 @@ def _newton(family: Family, y, X, w, tolerance: float = 1e-8, max_iterations: in
     dev = _deviance(family, y, mu, w)
 
     iterations = 0
-    for iterations in range(1, max_iterations + 1):
+    for iterations in range(1, _MAX_ITERATIONS + 1):
         score = X.T @ (w * resid)
         bread = (X * (w * info)[:, None]).T @ X
         try:
@@ -218,12 +239,13 @@ def _newton(family: Family, y, X, w, tolerance: float = 1e-8, max_iterations: in
         dev = _deviance(family, y, mu, w)
         if not np.isfinite(dev):
             return b, False, iterations, n_eff
-        if rel_change <= tolerance:
+        if rel_change <= _TOLERANCE:
             return b, True, iterations, n_eff
 
     return b, False, iterations, n_eff
 
 
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _finish(family: Family, y, X, w, b, converged, iterations, n_eff) -> FitResult:
     """Package a solution. On sorted ``y, X, w`` it builds the residuals and the
     bread once for both covariances, which are NaN when the fit did not converge."""

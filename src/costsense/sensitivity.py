@@ -164,6 +164,14 @@ class ConfounderModel:
         )
 
 
+def exp_ratio(log_ratio: float) -> float:
+    """``exp(log_ratio)``, a ratio too large for a float being ``inf``."""
+    try:
+        return math.exp(log_ratio)
+    except OverflowError:
+        return math.inf
+
+
 def z_quantile(level: float) -> float:
     """Two-sided normal critical value for a confidence ``level`` in (0, 1)."""
     if not 0.0 < level < 1.0:
@@ -198,11 +206,11 @@ class ApparentEffect:
 
     @property
     def cost_ratio(self) -> float:
-        return math.exp(self.beta_star)
+        return exp_ratio(self.beta_star)
 
     @property
     def ratio_ci(self) -> tuple[float, float]:
-        return math.exp(self.ci_low), math.exp(self.ci_high)
+        return exp_ratio(self.ci_low), exp_ratio(self.ci_high)
 
     @classmethod
     def from_ratio_ci(
@@ -252,9 +260,9 @@ def adjust_effect(apparent: ApparentEffect, confounder: ConfounderModel) -> Adju
         se=apparent.se,
         ci_low=lo,
         ci_high=hi,
-        cost_ratio=math.exp(beta),
-        ratio_ci_low=math.exp(lo),
-        ratio_ci_high=math.exp(hi),
+        cost_ratio=exp_ratio(beta),
+        ratio_ci_low=exp_ratio(lo),
+        ratio_ci_high=exp_ratio(hi),
         confidence_level=apparent.confidence_level,
     )
 
@@ -283,8 +291,9 @@ GAMMA_RATIO_CONVENTION = (
 )
 
 
-def _ci_excludes_one(ratio_low: float, ratio_high: float, decimals: int) -> bool:
-    return round(ratio_high, decimals) < 1.0 or round(ratio_low, decimals) > 1.0
+def _ci_excludes_one(ratio_low: float, ratio_high: float) -> bool:
+    """Whether the interval excludes one once rounded to the 2 printed decimals."""
+    return round(ratio_high, 2) < 1.0 or round(ratio_low, 2) > 1.0
 
 
 @dataclass(frozen=True)
@@ -297,25 +306,21 @@ class SweepRow:
     error: str | None = None
 
 
-def sweep(
-    apparent: ApparentEffect,
-    grid: list[ConfounderModel],
-    display_decimals: int = 2,
-) -> list[SweepRow]:
+def sweep(apparent: ApparentEffect, grid: list[ConfounderModel]) -> list[SweepRow]:
     """Adjust ``apparent`` under every confounder model in ``grid``.
 
     Each row flags whether the adjusted interval changes the significance
     of the apparent one. Published grids report intervals rounded to two
     decimals on the ratio scale, so the flag is judged at that same display
-    precision (``display_decimals``); an interval whose upper bound prints
-    as 1.00 counts as crossing one.
+    precision; an interval whose upper bound prints as 1.00 counts as
+    crossing one.
 
     A grid entry whose effect lies outside the MGF domain yields a row
     carrying the error message instead of a result; other rows are
     unaffected.
     """
     apparent_lo, apparent_hi = apparent.ratio_ci
-    apparent_sig = _ci_excludes_one(apparent_lo, apparent_hi, display_decimals)
+    apparent_sig = _ci_excludes_one(apparent_lo, apparent_hi)
     rows = []
     for confounder in grid:
         try:
@@ -325,9 +330,7 @@ def sweep(
                 SweepRow(confounder=confounder, adjusted=None, significance_changed=None, error=str(err))
             )
             continue
-        adjusted_sig = _ci_excludes_one(
-            adjusted.ratio_ci_low, adjusted.ratio_ci_high, display_decimals
-        )
+        adjusted_sig = _ci_excludes_one(adjusted.ratio_ci_low, adjusted.ratio_ci_high)
         rows.append(
             SweepRow(
                 confounder=confounder,

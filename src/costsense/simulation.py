@@ -34,12 +34,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .censoring import _fit_cost, cost_design, ipw_weights
+from .censoring import cost_design, fit_cost, ipw_weights
 from .data import CostDataset
 from .diagnostics import _corr
 from .errors import CorrelationModelError, CostOverflowError, DidNotConvergeError
 from .errors import EmptyFitError, EstimationError
-from .glm import DesignSpec, Family, _canonical_rows, _newton, expit
+from .glm import expit, logit_scores
 from .sensitivity import (
     BernoulliParams,
     ConfounderFamily,
@@ -260,14 +260,10 @@ class PropensityScenario:
         """
         if dataset.treatment.min() == dataset.treatment.max():
             raise EmptyFitError("draw left a treatment arm empty")
-        design = np.column_stack([np.ones(len(dataset)), dataset.covariates])
-        spec = DesignSpec(response=dataset.treatment, design=design,
-                          weights=np.ones(len(dataset)), family=Family.LOGIT_BINOMIAL)
-        # Only the coefficients are needed, so skip the covariances irls_fit adds.
-        coefficients, converged = _newton(spec.family, *_canonical_rows(spec))[:2]
+        scores, _, converged = logit_scores(dataset.treatment, dataset.covariates)
         if not converged:
             raise DidNotConvergeError("propensity score fit did not converge")
-        return expit(design @ coefficients)
+        return scores
 
 
 def _set_correction(scenario, control: FamilyParams, treated: FamilyParams) -> None:
@@ -517,7 +513,6 @@ class SimulationResult:
     coverage_unadjusted: float
     coverage_adjusted: float
     mc_standard_error: float
-    mc_standard_error_unadjusted: float
     corr_treated: float
     corr_control: float
     max_within_stratum_corr: float
@@ -549,7 +544,7 @@ def run_replication(scenario, replication: int, fit_true_model: bool = False,
             corr_control = _corr(u[~treated], partner[~treated], "pearson")
         weights = ipw_weights(dataset)
         design, _ = cost_design(dataset)
-        fit = _fit_cost(dataset, design, weights)
+        fit = fit_cost(dataset, design, weights)
         covariance = fit.covariance if variance == "sandwich" else fit.model_covariance
         se = float(np.sqrt(covariance[1, 1]))
         if not (fit.converged and np.isfinite(se) and se > 0.0):
@@ -570,7 +565,7 @@ def run_replication(scenario, replication: int, fit_true_model: bool = False,
     if fit_true_model:
         # The model that sees U: the same weights, with U as a last column.
         try:
-            full = _fit_cost(dataset, np.column_stack([design, u]), weights)
+            full = fit_cost(dataset, np.column_stack([design, u]), weights)
             if full.converged:
                 beta_true_model = float(full.coefficients[1])
         except EstimationError:
@@ -606,10 +601,11 @@ def aggregate(scenario, records: list[ReplicationRecord]) -> SimulationResult:
     """Summarize replication records into a SimulationResult.
 
     Means, biases, coverages and Monte Carlo standard errors are computed
-    over converged replications only. ``mc_standard_error`` describes the
-    adjusted estimator and ``mc_standard_error_unadjusted`` the unadjusted
-    one: each is the standard deviation of the estimates over the square
-    root of their count, and NaN with fewer than two of them.
+    over converged replications only. ``mc_standard_error`` is the standard
+    deviation of the adjusted estimates over the square root of their count,
+    and NaN with fewer than two of them. The unadjusted estimates differ from
+    the adjusted ones by the scenario's constant correction, so they share
+    that standard error.
     """
     records = sorted(records, key=lambda record: record.replication)
     converged = [record for record in records if record.converged]
@@ -622,7 +618,7 @@ def aggregate(scenario, records: list[ReplicationRecord]) -> SimulationResult:
         return (mean - scenario.beta_true) / scenario.beta_true
 
     if k == 0:
-        mean_un = mean_adj = mc_un = mc_adj = corr_t = corr_c = max_corr = nan
+        mean_un = mean_adj = mc_adj = corr_t = corr_c = max_corr = nan
         cover_un = cover_adj = nan
     else:
         unadjusted = np.array([record.beta_unadjusted for record in converged])
@@ -632,7 +628,6 @@ def aggregate(scenario, records: list[ReplicationRecord]) -> SimulationResult:
         cover_un = float(np.mean([record.covered_unadjusted for record in converged]))
         cover_adj = float(np.mean([record.covered_adjusted for record in converged]))
         mc_adj = float(adjusted.std(ddof=1) / math.sqrt(k)) if k > 1 else nan
-        mc_un = float(unadjusted.std(ddof=1) / math.sqrt(k)) if k > 1 else nan
         def _nanmean(values):
             finite = [v for v in values if not math.isnan(v)]
             return float(np.mean(finite)) if finite else nan
@@ -654,7 +649,6 @@ def aggregate(scenario, records: list[ReplicationRecord]) -> SimulationResult:
         coverage_unadjusted=cover_un,
         coverage_adjusted=cover_adj,
         mc_standard_error=mc_adj,
-        mc_standard_error_unadjusted=mc_un,
         corr_treated=corr_t,
         corr_control=corr_c,
         max_within_stratum_corr=max_corr,

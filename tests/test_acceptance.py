@@ -31,8 +31,9 @@ from costsense import (
     PoissonParams,
     adjust_effect,
     aggregate,
+    cost_design,
     fit_censored_cost,
-    fit_cost_unweighted,
+    fit_cost,
     gamma_arms_from_mean_ratio,
     log_mgf,
     run_replications,
@@ -306,7 +307,7 @@ def _neutrality_worst_error() -> float:
 
 def _ipw_noop_worst_error() -> float:
     dataset = random_cost_dataset(5, n=300, censored=False)
-    plain = fit_cost_unweighted(dataset)
+    plain = fit_cost(dataset, cost_design(dataset)[0], np.ones(len(dataset)))
     weighted = fit_censored_cost(dataset)
     return float(np.max(np.abs(plain.coefficients - weighted.coefficients)))
 

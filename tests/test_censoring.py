@@ -13,7 +13,7 @@ from costsense import (
     NormalParams,
     ZeroProbabilityError,
     fit_censored_cost,
-    fit_cost_unweighted,
+    fit_cost,
     generate_ci_dataset,
     ipw_weights,
     km_censoring_survival,
@@ -150,7 +150,7 @@ def test_step_survival_validation_and_lookup():
 def test_uncensored_fit_equals_unweighted_fit_exactly():
     ds = random_cost_dataset(2024, n=150, censored=False)
     weighted = fit_censored_cost(ds)
-    plain = fit_cost_unweighted(ds)
+    plain = fit_cost(ds, cost_design(ds)[0], np.ones(len(ds)))
     np.testing.assert_array_equal(weighted.coefficients, plain.coefficients)
     np.testing.assert_array_equal(weighted.covariance, plain.covariance)
 

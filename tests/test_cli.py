@@ -7,15 +7,20 @@ a subprocess.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from costsense import CostDataset, fit_cost_unweighted, load_dataset, save_dataset
+from costsense import CostDataset, cost_design, fit_cost, load_dataset, save_dataset
 from costsense.cli import main
 from helpers import random_cost_dataset
 
@@ -64,7 +69,8 @@ def test_fit_csv_lists_every_design_term(tmp_path, capsys):
     rows = _rows(out)
     assert [row["term"] for row in rows] == ["intercept", "treat", "z1"]
     # CSV floats are written with repr, so they round-trip exactly.
-    fit = fit_cost_unweighted(load_dataset(path))
+    ds = load_dataset(path)
+    fit = fit_cost(ds, cost_design(ds)[0], np.ones(len(ds)))
     for row, coefficient in zip(rows, fit.coefficients):
         assert float(row["estimate"]) == coefficient
         assert float(row["cost_ratio"]) == pytest.approx(np.exp(coefficient), rel=1e-15)
@@ -182,7 +188,8 @@ def test_adjust_fits_apparent_effect_from_data(tmp_path, capsys):
     assert status == 0
     (row,) = _rows(out)
     # A unit shift in the confounder mean subtracts exactly gamma from the fit.
-    fit = fit_cost_unweighted(load_dataset(data))
+    ds = load_dataset(data)
+    fit = fit_cost(ds, cost_design(ds)[0], np.ones(len(ds)))
     expected = fit.coefficients[1] - np.log(1.2)
     assert float(row["beta"]) == pytest.approx(expected, abs=1e-12)
 
@@ -564,3 +571,101 @@ def test_unknown_format_choice_rejected(tmp_path, capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["fit", "--input", str(path), "--format", "xml"])
     assert excinfo.value.code == 2
+
+
+# A converged fit whose treatment coefficient (about 2159) is far beyond the
+# log of the largest float, so its cost ratio overflows.
+HUGE_RATIO_CSV = """\
+z1,treat,time,z0,event,cost
+-1,1,685735.7950773141,-167.32582271451315,1,843128.7856599432
+-123.67400829485109,0,685735.7950773141,156.172605225594,1,1.0
+0,0,0.5,-1,1,1.0
+0,0,145322.58269130607,0,1,362043.4955229815
+"""
+
+
+def test_fit_prints_an_overflowing_cost_ratio_as_inf(tmp_path, capsys):
+    path = tmp_path / "huge.csv"
+    path.write_text(HUGE_RATIO_CSV)
+    status, out, err = _run(capsys, "fit", "--input", str(path), "--format", "csv")
+    assert (status, err) == (0, "")
+    treat = _rows(out)[1]
+    assert float(treat["estimate"]) > 709.8
+    assert [treat[c] for c in ("cost_ratio", "ratio_ci_low", "ratio_ci_high")] == ["inf"] * 3
+    status, out, err = _run(capsys, "fit", "--input", str(path))
+    assert (status, err) == (0, "")
+    assert "treatment cost ratio: inf (95% CI inf, inf)" in out
+
+
+@pytest.mark.parametrize("command, config", [
+    ("adjust", "[confounder]\nfamily = bernoulli\nprevalence = 0.7/0.5\neffect = 1.1\n"),
+    ("sweep", "[sweep]\nfamily = bernoulli\n\n[grid]\nprevalence = 0.7/0.5\neffect = 1.1, 1.5\n"),
+])
+def test_correction_of_an_overflowing_cost_ratio_prints_inf(tmp_path, capsys, command, config):
+    data, ini = tmp_path / "huge.csv", tmp_path / "grid.ini"
+    data.write_text(HUGE_RATIO_CSV)
+    ini.write_text(config)
+    status, out, err = _run(capsys, command, "--input", str(ini), "--data", str(data),
+                            "--format", "csv")
+    assert (status, err) == (0, "")
+    for row in _rows(out):
+        assert float(row["beta"]) > 709.8
+        assert [row[c] for c in ("cost_ratio", "ci_low", "ci_high")] == ["inf"] * 3
+    status, out, err = _run(capsys, command, "--input", str(ini), "--data", str(data))
+    assert (status, err) == (0, "")
+    assert "unadjusted: inf (95% CI inf, inf)" in out
+
+
+def test_diverging_fit_fails_with_one_error_line_and_no_numpy_warning(tmp_path):
+    path = tmp_path / "extreme.csv"
+    path.write_text("event,treat,cost,time\n"
+                    "1,0,2.225073858507203e-309,598078.9090062738\n"
+                    "1,1,0,1e-300\n"
+                    "0,1,1e-300,1\n"
+                    "0,0,0,1e300\n"
+                    "0,0,785571.0858611118,980096.2879232453\n")
+    # A fresh interpreter, so that stderr shows numpy's warnings as a user sees them.
+    result = subprocess.run([sys.executable, "-m", "costsense", "fit", "--input", str(path)],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert result.stderr.startswith("error: did-not-converge:")
+    assert result.stderr.count("\n") == 1
+
+
+_FIT_VARIANTS = ([], ["--no-ipw"], ["--stratify-censoring"], ["--shift-zero-costs"],
+                 ["--variance", "model"])
+
+
+@st.composite
+def _role_csvs(draw):
+    """A header CSV: the role columns and 0-3 covariates in random order, 1-14 rows."""
+    names = draw(st.permutations(["cost", "time", "event", "treat"]
+                                 + [f"z{j}" for j in range(draw(st.integers(0, 3)))]))
+    cells = {
+        "cost": st.floats(0.0, 1e6),
+        "time": st.floats(0.0, 1e6, exclude_min=True),
+        "event": st.sampled_from(["0", "1"]),
+        "treat": st.sampled_from(["0", "1"]),
+    }
+    rows = draw(st.lists(
+        st.tuples(*[cells.get(name, st.floats(-1e3, 1e3)) for name in names]),
+        min_size=1, max_size=14,
+    ))
+    lines = [",".join(names)] + [",".join(map(str, row)) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_role_csvs())
+def test_fit_and_diagnose_never_escape_with_an_exception(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.csv"
+        path.write_text(text)
+        argvs = ([["fit", "--input", str(path), *flags] for flags in _FIT_VARIANTS]
+                 + [["diagnose", "--input", str(path)],
+                    ["diagnose", "--input", str(path), "--spearman"]])
+        for argv in argvs:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main(argv) in (0, 1, 2), argv

@@ -128,59 +128,10 @@ def test_load_header_file(tmp_path):
     np.testing.assert_array_equal(ds.treatment, [1, 0, 0])
 
 
-def test_load_schema_renames_columns(tmp_path):
-    path = _write(
-        tmp_path / "renamed.csv",
-        "totcost,fu_months,dead,arm,age\n"
-        "10,2,1,0,61\n"
-        "20,4,1,1,58\n",
-    )
-    ds = load_dataset(
-        path,
-        schema={"cost": "totcost", "time": "fu_months", "event": "dead", "treat": "arm"},
-    )
-    assert ds.covariate_names == ("age",)
-    np.testing.assert_array_equal(ds.cost, [10.0, 20.0])
-
-
-def test_load_positional_schema_headerless(tmp_path):
-    path = _write(
-        tmp_path / "plain.csv",
-        "1,12.5,3.0,1,0.7\n"
-        "0,9.0,2.0,0,-0.1\n",
-    )
-    ds = load_dataset(
-        path,
-        schema={"treat": 0, "cost": 1, "time": 2, "event": 3, "covariates": [4]},
-    )
-    assert len(ds) == 2
-    assert ds.covariate_names == ("z1",)
-    np.testing.assert_array_equal(ds.cost, [12.5, 9.0])
-    np.testing.assert_array_equal(ds.treatment, [1, 0])
-
-
-def test_load_covariate_subset(tmp_path):
-    path = _write(
-        tmp_path / "wide.csv",
-        "cost,time,event,treat,z1,z2,z3\n"
-        "5,1,1,0,0.1,0.2,0.3\n"
-        "6,2,1,1,0.4,0.5,0.6\n",
-    )
-    ds = load_dataset(path, schema={"covariates": ["z3", "z1"]})
-    assert ds.covariate_names == ("z3", "z1")
-    np.testing.assert_array_equal(ds.covariates, [[0.3, 0.1], [0.6, 0.4]])
-
-
 def test_load_missing_column_names_it(tmp_path):
     path = _write(tmp_path / "short.csv", "cost,time,treat\n1,1,0\n")
     with pytest.raises(SchemaError, match="event"):
         load_dataset(path)
-
-
-def test_load_unknown_schema_key(tmp_path):
-    path = _write(tmp_path / "toy.csv", "cost,time,event,treat\n1,1,1,0\n")
-    with pytest.raises(SchemaError, match="outcome"):
-        load_dataset(path, schema={"outcome": "cost"})
 
 
 def test_load_bad_cell_reports_row(tmp_path):

@@ -220,7 +220,6 @@ def test_flagged_threshold_boundary():
     assert report_with(-0.16).flagged()
     assert not report_with(0.14).flagged()
     assert not report_with(0.15).flagged()
-    assert report_with(0.14).flagged(threshold=0.1)
     nan_report = CorrelationReport(
         covariate="z1",
         corr_unconditional=float("nan"),

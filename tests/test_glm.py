@@ -222,14 +222,30 @@ def test_scaling_response_shifts_intercept_by_log_factor():
     assert scaled.coefficients[1] == pytest.approx(fit.coefficients[1], abs=1e-8)
 
 
-def test_unconverged_fit_reports_nan_covariance():
+def test_unconverged_fit_reports_nan_covariance(monkeypatch):
     x = np.array([0.0, 0.0, 1.0, 1.0])
     X = np.column_stack([np.ones(4), x])
     y = np.exp(1.0 + 2.0 * x) + np.array([0.1, -0.1, 0.2, -0.2])
-    fit = irls_fit(_spec(y, X), max_iterations=1)
+    monkeypatch.setattr(glm, "_MAX_ITERATIONS", 1)
+    fit = irls_fit(_spec(y, X))
     assert not fit.converged
     assert np.isnan(fit.covariance).all()
     assert np.isnan(np.sqrt(np.diag(fit.covariance))).all()
+
+
+def test_zero_weight_record_saturated_against_its_outcome_changes_no_logit_fit():
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=60)
+    y = (rng.random(60) < expit(0.3 + 0.8 * x)).astype(np.float64)
+    X = np.column_stack([np.ones(60), x])
+    fit = irls_fit(_spec(y, X, family=Family.LOGIT_BINOMIAL))
+    # At x = 500 the fitted probability rounds to 1, against the outcome 0.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        padded = irls_fit(_spec(np.append(y, 0.0), np.vstack([X, [1.0, 500.0]]),
+                                np.append(np.ones(60), 0.0), family=Family.LOGIT_BINOMIAL))
+    assert fit.converged and padded.converged
+    np.testing.assert_allclose(padded.coefficients, fit.coefficients, rtol=0, atol=1e-12)
 
 
 def test_duplicate_column_raises_singular_design():

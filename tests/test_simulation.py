@@ -330,10 +330,8 @@ def test_aggregate_reports_both_monte_carlo_standard_errors():
     scenario = _bern_scenario()
     records = [_fake_record(0), _fake_record(1, beta_adj=1.05, beta_unadj=1.4)]
     result = aggregate(scenario, records)
-    adjusted, unadjusted = np.array([1.0, 1.05]), np.array([1.1, 1.4])
+    adjusted = np.array([1.0, 1.05])
     assert result.mc_standard_error == adjusted.std(ddof=1) / math.sqrt(2)
-    assert result.mc_standard_error_unadjusted == unadjusted.std(ddof=1) / math.sqrt(2)
-    assert result.mc_standard_error != result.mc_standard_error_unadjusted
 
 
 def test_aggregate_with_no_converged_replications():
@@ -344,7 +342,6 @@ def test_aggregate_with_no_converged_replications():
     assert math.isnan(result.mean_beta_adjusted)
     assert math.isnan(result.coverage_adjusted)
     assert math.isnan(result.mc_standard_error)
-    assert math.isnan(result.mc_standard_error_unadjusted)
 
 
 def test_confounder_for_scenario_mirrors_ci_arms():
