@@ -24,9 +24,11 @@ from .glm import logit_scores
 WITHIN_STRATUM_THRESHOLD = 0.15
 
 
-def _fit_propensity(response: np.ndarray, covariates: np.ndarray, names) -> np.ndarray:
-    """Fitted treatment probabilities from a logit model on ``covariates``."""
-    scores, coefficients, _ = logit_scores(response, covariates)
+def _fit_propensity(response: np.ndarray, covariates: np.ndarray, names,
+                    order: np.ndarray) -> np.ndarray:
+    """Fitted treatment probabilities from a logit model on ``covariates``,
+    visiting the rows in ``order``."""
+    scores, coefficients, _ = logit_scores(response, covariates, order)
     _raise_on_separation(response, scores, coefficients, covariates, names)
     return scores
 
@@ -58,35 +60,45 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _corr(a: np.ndarray, b: np.ndarray, method: str) -> float:
-    if a.size < 3:
-        return float("nan")
+def _correlations(rows: np.ndarray, method: str) -> np.ndarray:
+    """Correlation matrix of the variables in ``rows``, one per row.
+
+    Every entry is NaN when there are fewer than 3 records. A variable that
+    is constant, or whose centred sum of squares overflows, has NaN
+    correlations. Spearman correlates ranks, each variable ranked once.
+    """
+    k, n = rows.shape
+    if n < 3:
+        return np.full((k, k), np.nan)
     if method == "spearman":
-        a, b = _average_ranks(a), _average_ranks(b)
-    if np.std(a) == 0.0 or np.std(b) == 0.0:
+        rows = np.array([_average_ranks(row) for row in rows])
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        centred = rows - rows.mean(axis=1, keepdims=True)
+        overflows = ~np.isfinite((centred * centred).sum(axis=1))
+        r = np.corrcoef(rows)
+    skip = overflows | (rows.min(axis=1) == rows.max(axis=1))
+    r[skip, :] = np.nan
+    r[:, skip] = np.nan
+    return r
+
+
+def _corr(a: np.ndarray, b: np.ndarray, method: str) -> float:
+    return float(_correlations(np.vstack([a, b]), method)[0, 1])
+
+
+def _largest(r: np.ndarray) -> float:
+    """Signed value of the largest-magnitude entry of ``r`` that is not NaN;
+    ties go to the first."""
+    if np.isnan(r).all():
         return float("nan")
-    return float(np.corrcoef(a, b)[0, 1])
+    return float(r[np.nanargmax(np.abs(r))])
 
 
 def _largest_pairwise(column: np.ndarray, others: np.ndarray, method: str) -> float:
     """Signed value of the largest-magnitude correlation of ``column`` with a
-    column of ``others``, from one correlation matrix; ties go to the first.
-
-    As in :func:`_corr`, every pair is NaN when there are fewer than 3
-    records, and a pair is skipped when either side is constant.
-    """
-    if column.size < 3:
-        return float("nan")
-    rows = np.vstack([column, others.T])
-    if method == "spearman":
-        rows = np.array([_average_ranks(row) for row in rows])
-    constant = rows.min(axis=1) == rows.max(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.corrcoef(rows)[0, 1:]
-    r[constant[1:] | constant[0]] = np.nan
-    if np.isnan(r).all():
-        return float("nan")
-    return float(r[np.nanargmax(np.abs(r))])
+    column of ``others``, by the rules of :func:`_correlations`; ties go to
+    the first."""
+    return _largest(_correlations(np.vstack([column, others.T]), method)[0, 1:])
 
 
 @dataclass(frozen=True)
@@ -98,7 +110,8 @@ class CorrelationReport:
     pairwise correlation with any single other covariate within the
     stratum, read from one correlation matrix per stratum (on ranks for
     Spearman, each column ranked once); on equal magnitudes the earlier
-    covariate wins. Cells with under 3 records or no variation are NaN.
+    covariate wins. Cells with under 3 records, no variation, or a sum of
+    squares beyond the float range are NaN.
     """
 
     covariate: str
@@ -130,38 +143,52 @@ def loo_correlation_report(dataset: CostDataset, covariate: str,
         its maximum likelihood estimate does not exist; the message names
         the covariate carrying the strongest separating direction.
     """
+    return _reports(dataset, [covariate], method)[0]
+
+
+def correlation_report(dataset: CostDataset, method: str = "pearson") -> list[CorrelationReport]:
+    """One leave-one-out report per covariate, in covariate order."""
+    return _reports(dataset, dataset.covariate_names, method)
+
+
+def _reports(dataset: CostDataset, covariates_wanted, method: str) -> list[CorrelationReport]:
+    """Leave-one-out reports for the named covariates.
+
+    One sort of the records and one pairwise correlation matrix per arm
+    serve every report.
+    """
     if method not in ("pearson", "spearman"):
         raise ValueError(f"method must be 'pearson' or 'spearman', got {method!r}")
     names = list(dataset.covariate_names)
-    if covariate not in names:
-        raise KeyError(f"no covariate named {covariate!r}")
+    for covariate in covariates_wanted:
+        if covariate not in names:
+            raise KeyError(f"no covariate named {covariate!r}")
     treated = dataset.treatment == 1.0
     if treated.all() or not treated.any():
         raise EmptyFitError("propensity fit needs records in both treatment arms")
     if len(names) < 2:
         raise SchemaError("leave-one-out correlations need at least 2 covariates")
-    index = names.index(covariate)
-    keep = [j for j in range(len(names)) if j != index]
-    column = dataset.covariates[:, index]
-    others = dataset.covariates[:, keep]
-    other_names = [names[j] for j in keep]
+    covariates = dataset.covariates
+    # The order of the whole table depends only on its multiset of rows, so
+    # each leave-one-out fit may visit its rows in it. The intercept and the
+    # unit weights of a fit's canonical sort are constant keys and add nothing.
+    order = np.lexsort((*covariates.T[::-1], dataset.treatment))
+    pairwise_treated = _correlations(covariates[treated].T, method)
+    pairwise_control = _correlations(covariates[~treated].T, method)
 
-    scores = _fit_propensity(dataset.treatment, others, other_names)
-    return CorrelationReport(
-        covariate=covariate,
-        corr_unconditional=_corr(column, scores, method),
-        corr_treated=_corr(column[treated], scores[treated], method),
-        corr_control=_corr(column[~treated], scores[~treated], method),
-        largest_individual_corr_treated=_largest_pairwise(
-            column[treated], others[treated], method),
-        largest_individual_corr_control=_largest_pairwise(
-            column[~treated], others[~treated], method),
-    )
-
-
-def correlation_report(dataset: CostDataset, method: str = "pearson") -> list[CorrelationReport]:
-    """One leave-one-out report per covariate, in covariate order."""
-    return [
-        loo_correlation_report(dataset, name, method=method)
-        for name in dataset.covariate_names
-    ]
+    reports = []
+    for covariate in covariates_wanted:
+        index = names.index(covariate)
+        keep = [j for j in range(len(names)) if j != index]
+        column = covariates[:, index]
+        scores = _fit_propensity(dataset.treatment, covariates[:, keep],
+                                 [names[j] for j in keep], order)
+        reports.append(CorrelationReport(
+            covariate=covariate,
+            corr_unconditional=_corr(column, scores, method),
+            corr_treated=_corr(column[treated], scores[treated], method),
+            corr_control=_corr(column[~treated], scores[~treated], method),
+            largest_individual_corr_treated=_largest(pairwise_treated[index, keep]),
+            largest_individual_corr_control=_largest(pairwise_control[index, keep]),
+        ))
+    return reports

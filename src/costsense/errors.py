@@ -50,7 +50,8 @@ class ConfigError(UsageError):
 
 
 class MgfDomainError(UsageError):
-    """The requested confounder effect lies outside the MGF's domain."""
+    """The requested confounder effect lies outside the MGF's domain, or its
+    log-MGF overflows a float."""
 
     code = "mgf-domain"
 

@@ -13,6 +13,11 @@ regression. Both are solved by Fisher scoring with step halving on the
 working deviance. The iteration converges when no coefficient changes by
 more than a relative 1e-8 (absolute below 1); it gives up after 100
 iterations, and a step that raises the deviance is halved at most 10 times.
+Each trial point is evaluated once: the linear predictor, mean, residuals
+and deviance of the step taken carry over to the next iteration. The
+``LOG_GAMMA`` information weights are identically 1, so the Newton loop
+builds its information matrix once per fit; the ``LOGIT_BINOMIAL`` one
+changes with every iterate.
 
 Robust (sandwich) covariance is the default variance estimate; a
 model-based covariance, built from the same bread, is also attached to
@@ -111,8 +116,12 @@ def _canonical_rows(spec: DesignSpec):
     if not np.all(ordered[1:] > ordered[:-1]):
         columns = [spec.design[:, j] for j in range(spec.design.shape[1] - 1, -1, -1)]
         order = np.lexsort(tuple([spec.weights] + columns + [spec.response]))
-        ordered = spec.response[order]
-    return ordered, np.ascontiguousarray(spec.design[order]), spec.weights[order]
+    return _rows(spec, order)
+
+
+def _rows(spec: DesignSpec, order: np.ndarray):
+    """Response, design and weights of ``spec`` in ``order``."""
+    return spec.response[order], np.ascontiguousarray(spec.design[order]), spec.weights[order]
 
 
 def _family_terms(family: Family, eta: np.ndarray, y: np.ndarray):
@@ -128,11 +137,11 @@ def _deviance(family: Family, y, mu, w) -> float:
     if family is Family.LOG_GAMMA:
         # Negative quasi-likelihood for variance ~ mu^2, up to a constant
         # in y; convex in the coefficients and finite at y = 0.
-        return 2.0 * float(np.sum(w * (y / mu + np.log(mu))))
+        return 2.0 * float((w * (y / mu + np.log(mu))).sum())
     ll = _xlogy(y, mu) + _xlogy(1.0 - y, 1.0 - mu)
     # A zero-weight record whose probability saturates against its outcome
     # has ll = -inf; it must add 0, not 0 * -inf = NaN.
-    return -2.0 * float(np.sum(w * np.where(w > 0, ll, 0.0)))
+    return -2.0 * float((w * np.where(w > 0, ll, 0.0)).sum())
 
 
 def irls_fit(spec: DesignSpec) -> FitResult:
@@ -152,17 +161,21 @@ def irls_fit(spec: DesignSpec) -> FitResult:
     return _finish(spec.family, y, X, w, *_newton(spec.family, y, X, w))
 
 
-def logit_scores(response, covariates):
+def logit_scores(response, covariates, order=None):
     """Logit fit of a 0/1 ``response`` on an intercept plus ``covariates``.
 
     Returns ``(scores, coefficients, converged)``, the scores being the
-    fitted probabilities. No covariance is computed.
+    fitted probabilities. No covariance is computed. The fit visits the rows
+    in canonical order, or in ``order``, which must likewise depend only on
+    the multiset of rows (such as the sorted order of a table holding these
+    columns and more), to keep the fit invariant to permuting the records.
     """
     n = len(response)
     design = np.column_stack([np.ones(n), covariates])
     spec = DesignSpec(response=response, design=design, weights=np.ones(n),
                       family=Family.LOGIT_BINOMIAL)
-    coefficients, converged = _newton(spec.family, *_canonical_rows(spec))[:2]
+    rows = _canonical_rows(spec) if order is None else _rows(spec, order)
+    coefficients, converged = _newton(spec.family, *rows)[:2]
     return expit(design @ coefficients), coefficients, converged
 
 
@@ -196,20 +209,22 @@ def _newton(family: Family, y, X, w):
 
     b = np.zeros(p)
     if family is Family.LOG_GAMMA:
-        mean_y = float(np.sum(w * y) / np.sum(w))
+        mean_y = float((w * y).sum() / w.sum())
         if mean_y <= 0:
             raise EmptyFitError("response is identically zero on the weighted support")
         if not np.isfinite(mean_y):
             return b, False, 0, n_eff
         b[0] = np.log(mean_y)
-    eta = X @ b
-    mu, resid, info = _family_terms(family, eta, y)
+        # The information weights are identically 1: one bread for every iterate.
+        bread = (X * w[:, None]).T @ X
+    mu, resid, info = _family_terms(family, X @ b, y)
     dev = _deviance(family, y, mu, w)
 
     iterations = 0
     for iterations in range(1, _MAX_ITERATIONS + 1):
         score = X.T @ (w * resid)
-        bread = (X * (w * info)[:, None]).T @ X
+        if family is Family.LOGIT_BINOMIAL:
+            bread = (X * (w * info)[:, None]).T @ X
         try:
             step = np.linalg.solve(bread, score)
         except np.linalg.LinAlgError:
@@ -220,25 +235,25 @@ def _newton(family: Family, y, X, w):
         b_new = b + step
         for _ in range(_MAX_HALVINGS + 1):
             eta_new = X @ b_new
-            if np.all(np.isfinite(b_new)) and np.max(np.abs(eta_new)) <= _ETA_MAX:
-                mu_new, _, _ = _family_terms(family, eta_new, y)
+            if np.isfinite(b_new).all() and np.abs(eta_new).max() <= _ETA_MAX:
+                mu_new, resid_new, info_new = _family_terms(family, eta_new, y)
                 dev_new = _deviance(family, y, mu_new, w)
                 if np.isfinite(dev_new) and dev_new <= dev + 1e-10 * (1.0 + abs(dev)):
                     break
             step = step / 2.0
             b_new = b + step
+        else:
+            # No trial passed: the last halving, not yet evaluated, is taken.
+            eta_new = X @ b_new
+            if not np.isfinite(b_new).all() or np.abs(eta_new).max() > _ETA_MAX:
+                return b, False, iterations, n_eff
+            mu_new, resid_new, info_new = _family_terms(family, eta_new, y)
+            dev_new = _deviance(family, y, mu_new, w)
+            if not np.isfinite(dev_new):
+                return b_new, False, iterations, n_eff
 
-        eta_new = X @ b_new
-        if not np.all(np.isfinite(b_new)) or np.max(np.abs(eta_new)) > _ETA_MAX:
-            return b, False, iterations, n_eff
-
-        rel_change = float(np.max(np.abs(b_new - b) / np.maximum(1.0, np.abs(b_new))))
-        b = b_new
-        eta = eta_new
-        mu, resid, info = _family_terms(family, eta, y)
-        dev = _deviance(family, y, mu, w)
-        if not np.isfinite(dev):
-            return b, False, iterations, n_eff
+        rel_change = float((np.abs(b_new - b) / np.maximum(1.0, np.abs(b_new))).max())
+        b, resid, info, dev = b_new, resid_new, info_new, dev_new
         if rel_change <= _TOLERANCE:
             return b, True, iterations, n_eff
 

@@ -134,10 +134,18 @@ def log_mgf(family: ConfounderFamily, params: FamilyParams, gamma: float) -> flo
 
     Raises :class:`~costsense.errors.MgfDomainError` when ``gamma`` lies
     outside the family's domain (only the Gamma family is restricted, to
-    ``scale * gamma < 1``).
+    ``scale * gamma < 1``) or the log-MGF lies beyond the float range.
     """
     check_params(family, params)
-    return params.log_mgf(float(gamma))
+    try:
+        value = params.log_mgf(float(gamma))
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise MgfDomainError(
+            f"the {family.value} confounder's log-MGF at effect {gamma:g} overflows a float"
+        )
+    return value
 
 
 @dataclass(frozen=True)

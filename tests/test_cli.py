@@ -633,6 +633,40 @@ def test_diverging_fit_fails_with_one_error_line_and_no_numpy_warning(tmp_path):
     assert result.stderr.count("\n") == 1
 
 
+def test_diagnose_near_the_float_range_fails_with_one_error_line(tmp_path):
+    # z0 alternates +-1e300: its moments overflow, and a fit on it is singular.
+    path = tmp_path / "huge_covariate.csv"
+    path.write_text("treat,time,event,cost,z0,z1\n" + "".join(
+        f"{i % 2},{i + 1},1,{10 + i},{'-' if i % 2 else ''}1e300,{z1}\n"
+        for i, z1 in enumerate([0.3, -1.2, 0.5, 2.0, -0.7, 1.1, -0.4, 0.9])))
+    result = subprocess.run([sys.executable, "-m", "costsense", "diagnose", "--input", str(path)],
+                            capture_output=True, text=True, check=False)
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: singular-design:")
+    assert result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command, config, status", [
+    ("sweep", "[apparent]\nbeta_star = 0.5\nse = 0.5\n[sweep]\nfamily = poisson\n"
+              "[grid]\nrate = 0.5\nlog_effect = 710, 0.5\n", 0),
+    ("adjust", "[apparent]\nbeta_star = 0.5\nse = 0.5\n[confounder]\nfamily = normal\n"
+               "mean = 0\nsd = 1e308\nlog_effect = 0.5\n", 0),
+    ("simulate", "[scenario big]\nkind = ci\nfamily = poisson\nrate = 1\ngamma = 710\n"
+                 "n_per_arm = 10\n", 2),
+])
+def test_log_mgf_beyond_the_float_range_is_an_mgf_domain_error(tmp_path, capsys, command,
+                                                              config, status):
+    path = tmp_path / "config.ini"
+    path.write_text(config)
+    extra = ["--seed", "1", "--reps", "2"] if command == "simulate" else []
+    got, out, err = _run(capsys, command, "--input", str(path), "--format", "csv", *extra)
+    assert got == status
+    if status == 2:
+        assert err.startswith("error: mgf-domain: [scenario big]:") and "overflows a float" in err
+    else:
+        assert err == "" and "overflows a float" in _rows(out)[0]["error"]
+
+
 _FIT_VARIANTS = ([], ["--no-ipw"], ["--stratify-censoring"], ["--shift-zero-costs"],
                  ["--variance", "model"])
 
@@ -669,3 +703,56 @@ def test_fit_and_diagnose_never_escape_with_an_exception(text):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main(argv) in (0, 1, 2), argv
+
+
+# Four numbers in five lie in [0.05, 0.95], where every parameter is valid;
+# the fifth may be negative, huge, not finite or not a number.
+_INI_NUMBERS = st.sampled_from(4 * [st.floats(0.05, 0.95)] + [st.one_of(
+    st.floats(-3.0, 3.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from(["1e308", "-1e308", "5e-324", "710", "x", ""]),
+)]).flatmap(lambda numbers: numbers).map(
+    lambda value: value if isinstance(value, str) else f"{value:.3g}")
+_INI_ITEMS = st.one_of(_INI_NUMBERS, st.tuples(_INI_NUMBERS, _INI_NUMBERS).map("/".join))
+_FAMILY_KEYS = {"bernoulli": [["prevalence"]], "normal": [["mean"], ["mean", "sd"]],
+                "poisson": [["rate"]], "gamma": [["shape", "scale"], ["mean_ratio", "var_over_mean"]]}
+_ANY_KEY = st.sampled_from(["prevalence", "mean", "sd", "rate", "shape", "scale", "mean_ratio",
+                            "var_over_mean", "effect", "log_effect", "family", "seed"])
+
+
+@st.composite
+def _adjust_and_sweep_inis(draw):
+    """An ``adjust`` file and a ``sweep`` file for one family: the family's keys,
+    now and then one key more, values from ``_INI_ITEMS``, and an ``[apparent]``
+    section in either form, in neither, or in a mix of both."""
+    family = draw(st.sampled_from(3 * sorted(_FAMILY_KEYS) + ["binomial"]))
+    keys = list(draw(st.sampled_from(_FAMILY_KEYS.get(family, [["prevalence"]]))))
+    keys += [draw(st.sampled_from(["effect", "log_effect"]))]
+    keys += [key for key in draw(st.lists(_ANY_KEY, max_size=1)) if key not in keys]
+    apparent = draw(st.sampled_from(2 * [["beta_star", "se"], ["ci_low", "cost_ratio", "ci_high"]]
+                                    + [["beta_star", "se", "level"], [], ["cost_ratio", "se"]]))
+    values = [draw(_INI_NUMBERS) for _ in apparent]
+    if apparent[:1] == ["ci_low"]:
+        # Ascending when all three parse, so that most intervals are valid.
+        with contextlib.suppress(ValueError):
+            values = [repr(value) for value in sorted(map(float, values))]
+    head = (["[apparent]"] + [f"{key} = {value}" for key, value in zip(apparent, values)]
+            if apparent else [])
+    adjust = head + ["[confounder]", f"family = {family}"]
+    adjust += [f"{key} = {draw(_INI_ITEMS)}" for key in keys]
+    grid = [f"{key} = {', '.join(draw(st.lists(_INI_ITEMS, min_size=1, max_size=2)))}"
+            for key in keys]
+    sweep = head + ["[sweep]", f"family = {family}", "[grid]"] + grid
+    return "\n".join(adjust) + "\n", "\n".join(sweep) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(files=_adjust_and_sweep_inis())
+def test_adjust_and_sweep_never_escape_with_an_exception(files):
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, text in zip(("adjust", "sweep"), files):
+            path = Path(tmp) / f"{command}.ini"
+            path.write_text(text)
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main([command, "--input", str(path)]) in (0, 1, 2), text

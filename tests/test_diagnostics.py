@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -296,3 +297,21 @@ def test_largest_pairwise_exact_tie_goes_to_the_first_column(method):
     assert np.isnan(_largest_pairwise(column[:3], tenths[:, None], method))
     assert np.isnan(_largest_pairwise(tenths, column[:3, None], method))
     assert np.isnan(_largest_pairwise(column[:2], np.column_stack([b, 1.0 - b])[:2], method))
+
+
+@pytest.mark.parametrize("method", ["pearson", "spearman"])
+def test_moments_beyond_the_float_range_give_nan_quietly(method):
+    # Ranks never overflow, so Spearman still correlates the huge column.
+    huge = np.tile([1e300, -1e300], 4)
+    other = np.array([0.3, -1.2, 0.5, 2.0, -0.7, 1.1, -0.4, 0.9])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        corr = _corr(huge, other, method)
+        largest = _largest_pairwise(other, huge[:, None], method)
+    if method == "pearson":
+        # NaN, not the 0 that dividing by an infinite spread would give.
+        assert np.isnan(corr) and np.isnan(largest)
+    else:
+        reference = _corr(np.sign(huge), other, "spearman")
+        assert corr == pytest.approx(reference, abs=1e-12)
+        assert largest == pytest.approx(reference, abs=1e-12)

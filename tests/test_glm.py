@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -207,6 +208,130 @@ def test_fit_sorts_its_rows_once(monkeypatch):
     assert fit.converged
     assert np.isfinite(fit.covariance).all() and np.isfinite(fit.model_covariance).all()
     assert len(calls) == 1
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _reference_newton(family, y, X, w):
+    """The Newton loop as it stood before each trial point was evaluated once:
+    it rebuilds the bread at every iteration and evaluates the accepted step
+    a second time after the halving loop."""
+    _family_terms, _deviance = glm._family_terms, glm._deviance
+    pos = w > 0
+    n_eff = int(np.count_nonzero(pos))
+    p = X.shape[1]
+    if n_eff == 0:
+        raise EmptyFitError("all weights are zero")
+    if n_eff < p or np.linalg.matrix_rank(X[pos]) < p:
+        raise SingularDesignError("rank deficient")
+    b = np.zeros(p)
+    if family is Family.LOG_GAMMA:
+        mean_y = float(np.sum(w * y) / np.sum(w))
+        if mean_y <= 0:
+            raise EmptyFitError("response is identically zero on the weighted support")
+        if not np.isfinite(mean_y):
+            return b, False, 0, n_eff
+        b[0] = np.log(mean_y)
+    eta = X @ b
+    mu, resid, info = _family_terms(family, eta, y)
+    dev = _deviance(family, y, mu, w)
+    iterations = 0
+    for iterations in range(1, glm._MAX_ITERATIONS + 1):
+        score = X.T @ (w * resid)
+        bread = (X * (w * info)[:, None]).T @ X
+        try:
+            step = np.linalg.solve(bread, score)
+        except np.linalg.LinAlgError:
+            return b, False, iterations, n_eff
+        b_new = b + step
+        for _ in range(glm._MAX_HALVINGS + 1):
+            eta_new = X @ b_new
+            if np.all(np.isfinite(b_new)) and np.max(np.abs(eta_new)) <= glm._ETA_MAX:
+                mu_new, _, _ = _family_terms(family, eta_new, y)
+                dev_new = _deviance(family, y, mu_new, w)
+                if np.isfinite(dev_new) and dev_new <= dev + 1e-10 * (1.0 + abs(dev)):
+                    break
+            step = step / 2.0
+            b_new = b + step
+        eta_new = X @ b_new
+        if not np.all(np.isfinite(b_new)) or np.max(np.abs(eta_new)) > glm._ETA_MAX:
+            return b, False, iterations, n_eff
+        rel_change = float(np.max(np.abs(b_new - b) / np.maximum(1.0, np.abs(b_new))))
+        b = b_new
+        eta = eta_new
+        mu, resid, info = _family_terms(family, eta, y)
+        dev = _deviance(family, y, mu, w)
+        if not np.isfinite(dev):
+            return b, False, iterations, n_eff
+        if rel_change <= glm._TOLERANCE:
+            return b, True, iterations, n_eff
+    return b, False, iterations, n_eff
+
+
+def _newton_problem(seed, n, p, family, shape):
+    """Rows for a Newton fit. ``shape`` picks ordinary data, data with zero
+    weights, a Gamma response with one huge outlier at the largest covariate
+    (full steps overshoot, so they are halved, and with few halvings allowed
+    they run out), or, for logit fits, a covariate that separates the classes
+    (so the fit diverges)."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, p - 1))])
+    w = rng.uniform(0.2, 3.0, n)
+    if shape == "zero weights":
+        w[rng.random(n) < 0.3] = 0.0
+    eta = X @ rng.uniform(-1.0, 1.0, p)
+    if family is Family.LOG_GAMMA:
+        y = rng.gamma(2.0, np.exp(2.0 + eta) / 2.0)
+        if shape == "outlier":
+            y[np.argmax(X[:, -1])] *= 1e4
+    elif shape == "separated" and p > 1:
+        y = (X[:, 1] > 0.0).astype(np.float64)
+    else:
+        y = (rng.random(n) < expit(eta)).astype(np.float64)
+    return y, X, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 80), p=st.integers(1, 4),
+       family=st.sampled_from(list(Family)),
+       shape=st.sampled_from(["plain", "zero weights", "outlier", "separated"]),
+       halvings=st.sampled_from([0, 1, 10]))
+def test_newton_equals_the_reference_loop(seed, n, p, family, shape, halvings):
+    # With 0 or 1 halvings allowed, a step that raises the deviance soon runs
+    # out of halvings and takes the path that evaluates the last one.
+    y, X, w = _newton_problem(seed, n, p, family, shape)
+    with mock.patch.object(glm, "_MAX_HALVINGS", halvings):
+        try:
+            want = _reference_newton(family, y, X, w)
+        except (EmptyFitError, SingularDesignError) as err:
+            with pytest.raises(type(err)):
+                glm._newton(family, y, X, w)
+            return
+        got = glm._newton(family, y, X, w)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:] == want[1:]
+
+
+def test_newton_evaluates_each_trial_point_once(monkeypatch):
+    calls = []
+    original = glm._deviance
+
+    def counting_deviance(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(glm, "_deviance", counting_deviance)
+    rng = np.random.default_rng(12)
+    X = np.column_stack([np.ones(300), rng.normal(size=300)])
+    y = rng.gamma(2.0, np.exp(X @ [1.0, 0.3]) / 2.0)
+    fit = irls_fit(_spec(y, X))
+    # The start, then one full Newton step per iteration, none halved.
+    assert fit.converged
+    assert len(calls) == 1 + fit.iterations
+    calls.clear()
+    response = (rng.random(300) < expit(X @ [0.2, 0.5])).astype(np.float64)
+    _, converged, iterations, _ = glm._newton(Family.LOGIT_BINOMIAL, response, X, np.ones(300))
+    assert converged
+    assert len(calls) == 1 + iterations
 
 
 def test_scaling_response_shifts_intercept_by_log_factor():
