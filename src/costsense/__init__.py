@@ -68,7 +68,6 @@ from .simulation import (
     aggregate,
     generate_ci_dataset,
     run_replication,
-    run_replications,
     synthetic_cohort,
 )
 
@@ -127,7 +126,6 @@ __all__ = [
     "log_mgf",
     "loo_correlation_report",
     "run_replication",
-    "run_replications",
     "save_dataset",
     "sweep",
     "synthetic_cohort",

@@ -32,7 +32,6 @@ from .simulation import (
     SimulationResult,
     aggregate,
     run_replication,
-    run_replications,
     synthetic_cohort,
 )
 
@@ -231,9 +230,9 @@ def cmd_sweep(args) -> int:
 
 def _scenario_records(scenario, replications: int, workers: int, variance: str,
                       level: float):
-    if workers <= 1:
-        return run_replications(scenario, replications, variance=variance, level=level)
     worker = partial(run_replication, scenario, variance=variance, level=level)
+    if workers <= 1:
+        return list(map(worker, range(replications)))
     chunk = max(1, replications // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(worker, range(replications), chunksize=chunk))

@@ -17,6 +17,11 @@ simulate option applies to each. Scenario parameters, and whether each
 scenario's correction lies in its MGF domain, are validated here, before
 any replication runs. Seeds are deliberately not file keys: the
 caller supplies one so a scenario file describes the study, not the draw.
+
+The dataclasses are the schema: the keys of a section are the fields of its
+scenario class and of its family's parameter class, the fields' defaults
+are the keys' defaults, and fields are read in declaration order, so a
+section with several faults reports the first.
 """
 
 from __future__ import annotations
@@ -25,20 +30,17 @@ import configparser
 import itertools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 from .errors import ConfigError, CorrelationModelError, InputNotFoundError, MgfDomainError
 from .sensitivity import (
     ApparentEffect,
-    BernoulliParams,
     ConfounderFamily,
     ConfounderModel,
     FamilyParams,
     GAMMA_RATIO_CONVENTION,
-    GammaParams,
-    NormalParams,
-    PoissonParams,
+    _PARAM_TYPES,
     gamma_arms_from_mean_ratio,
 )
 from .simulation import CDScenario, CIScenario, PropensityScenario
@@ -175,40 +177,32 @@ def parse_apparent(parser: configparser.ConfigParser) -> ApparentEffect | None:
     )
 
 
-# Required and optional parameter keys per family for grid, confounder and CI
-# scenario sections; gamma grids may give mean_ratio + var_over_mean instead.
-_FAMILY_KEYS = {
-    ConfounderFamily.BERNOULLI: ({"prevalence"}, set()),
-    ConfounderFamily.NORMAL: ({"mean"}, {"sd"}),
-    ConfounderFamily.POISSON: ({"rate"}, set()),
-    ConfounderFamily.GAMMA: ({"shape", "scale"}, set()),
-}
-_GAMMA_DIRECT = {"shape", "scale"}
+# Gamma grids may give mean_ratio + var_over_mean in place of shape + scale.
 _GAMMA_RATIO = {"mean_ratio", "var_over_mean"}
-_SCALAR_KEYS = _GAMMA_RATIO
 
 
-def _grid_keys(section: str, family: ConfounderFamily, present: set[str]) -> set[str]:
-    """Validate a grid section's key set and return the parameter keys."""
+def _grid_keys(section: str, family: ConfounderFamily, present: set[str]) -> None:
+    """Validate a grid section's key set: one effect key plus the fields of
+    the family's parameters, those with a default optional."""
     effect_keys = {"effect", "log_effect"} & present
     if len(effect_keys) != 1:
         raise ConfigError(f"[{section}]: give exactly one of 'effect' or 'log_effect'")
     params = present - effect_keys
-    if family is ConfounderFamily.GAMMA:
-        if params == _GAMMA_DIRECT or params == _GAMMA_RATIO:
-            return params
+    param_fields = fields(_PARAM_TYPES[family])
+    required = {f.name for f in param_fields if f.default is MISSING}
+    allowed = {f.name for f in param_fields}
+    gamma = family is ConfounderFamily.GAMMA
+    if required <= params <= allowed or (gamma and params == _GAMMA_RATIO):
+        return
+    if gamma:
         raise ConfigError(
             f"[{section}]: gamma grids take shape + scale, or mean_ratio + var_over_mean; "
             f"got: {', '.join(sorted(params)) or 'nothing'}"
         )
-    required, optional = _FAMILY_KEYS[family]
-    if not required <= params or not params <= required | optional:
-        expected = " + ".join(sorted(required | optional))
-        raise ConfigError(
-            f"[{section}]: {family.value} grids take {expected}; "
-            f"got: {', '.join(sorted(params)) or 'nothing'}"
-        )
-    return params
+    raise ConfigError(
+        f"[{section}]: {family.value} grids take {' + '.join(sorted(allowed))}; "
+        f"got: {', '.join(sorted(params)) or 'nothing'}"
+    )
 
 
 def _expand_section(section: str, family: ConfounderFamily,
@@ -217,7 +211,7 @@ def _expand_section(section: str, family: ConfounderFamily,
     keys = [key for key, _ in items]
     values = []
     for key, raw in items:
-        if key in _SCALAR_KEYS:
+        if key in _GAMMA_RATIO:
             values.append([(v,) for v in _scalar_list(section, key, raw)])
         else:
             values.append(_pair_list(section, key, raw))
@@ -228,15 +222,11 @@ def _expand_section(section: str, family: ConfounderFamily,
 
 
 def _family_params(family: ConfounderFamily, pairs: dict) -> tuple[FamilyParams, FamilyParams]:
-    """Control and treated parameters from ``(control, treated)`` value pairs."""
-    if family is ConfounderFamily.BERNOULLI:
-        return tuple(BernoulliParams(v) for v in pairs["prevalence"])
-    if family is ConfounderFamily.NORMAL:
-        sds = pairs.get("sd", (1.0, 1.0))
-        return tuple(NormalParams(mean=m, sd=s) for m, s in zip(pairs["mean"], sds))
-    if family is ConfounderFamily.POISSON:
-        return tuple(PoissonParams(v) for v in pairs["rate"])
-    return tuple(GammaParams(shape=k, scale=t) for k, t in zip(pairs["shape"], pairs["scale"]))
+    """Control and treated parameters from ``(control, treated)`` value pairs
+    keyed by field name; a field that ``pairs`` lacks keeps its default."""
+    cls = _PARAM_TYPES[family]
+    given = [f.name for f in fields(cls) if f.name in pairs]
+    return tuple(cls(**{name: pairs[name][arm] for name in given}) for arm in (0, 1))
 
 
 def _model_from_row(section: str, family: ConfounderFamily, row: dict) -> tuple[ConfounderModel, dict]:
@@ -347,19 +337,20 @@ def load_adjust_config(path) -> tuple[ApparentEffect | None, ConfounderModel, di
 
 
 _SCENARIO_PREFIX = "scenario"
+_SCENARIO_KINDS = {cls.kind: cls for cls in (CIScenario, CDScenario, PropensityScenario)}
+# Readers of the scenario fields that one file key gives, by annotation.
+_READERS = {"int": _int, "float": _float}
 
 
-# The optional cost-model keys of CI and CD scenarios with their defaults
-# (gamma is required), and the keys every CI and CD section accepts.
-_COST_MODEL_DEFAULTS = {"censor_prob": "0", "alpha": "5", "beta_true": "1", "theta_z": "1"}
-_SHARED_KEYS = {"kind", "family", "gamma", *_COST_MODEL_DEFAULTS}
-
-
-def _cost_model(section: str, mapping) -> dict[str, float]:
-    values = {"gamma": _float(section, "gamma", _require(section, mapping, "gamma"))}
-    for key, default in _COST_MODEL_DEFAULTS.items():
-        values[key] = _float(section, key, mapping.get(key, default))
-    return values
+def _file_keys(field, family: ConfounderFamily | None) -> tuple[str, ...]:
+    """The file keys that give a scenario field; the caller gives the seed."""
+    if field.name == "params_control":
+        return tuple(f.name for f in fields(_PARAM_TYPES[family]))
+    if field.name == "correlation_model":
+        return ("model", "correlations")
+    if field.name in ("params_treated", "seed"):
+        return ()
+    return (field.name,)
 
 
 @contextmanager
@@ -373,62 +364,35 @@ def _scenario_errors(section: str):
         raise type(err)(f"[{section}]: {err}") from None
 
 
-def _parse_ci_scenario(section: str, mapping, seed: int) -> CIScenario:
-    family = _family(section, mapping)
-    required, optional = _FAMILY_KEYS[family]
-    _reject_unknown(section, mapping, _SHARED_KEYS | {"n_per_arm"} | required | optional)
-    pairs = {}
-    for key in required:
-        pairs[key] = _pair(section, key, _require(section, mapping, key))
-    for key in optional:
-        if key in mapping:
-            pairs[key] = _pair(section, key, mapping[key])
+def _parse_scenario(section: str, mapping, kind: str, seed: int):
+    """Build a ``kind`` scenario from its section, reading its fields in
+    declaration order; a key that is absent leaves the field's default."""
+    cls = _SCENARIO_KINDS[kind]
+    scenario_fields = fields(cls)
+    family = _family(section, mapping) if "family" in cls.__dataclass_fields__ else None
+    _reject_unknown(section, mapping,
+                    {"kind", *(key for f in scenario_fields for key in _file_keys(f, family))})
+    values = {"seed": seed}
     with _scenario_errors(section):
-        control, treated = _family_params(family, pairs)
-        return CIScenario(
-            **_cost_model(section, mapping),
-            family=family,
-            params_control=control,
-            params_treated=treated,
-            n_per_arm=_int(section, "n_per_arm", _require(section, mapping, "n_per_arm")),
-            seed=seed,
-        )
-
-
-def _parse_cd_scenario(section: str, mapping, seed: int) -> CDScenario:
-    family = _family(section, mapping)
-    _reject_unknown(section, mapping, _SHARED_KEYS | {"n", "phi1", "phi2", "phi3"})
-    with _scenario_errors(section):
-        return CDScenario(
-            **_cost_model(section, mapping),
-            family=family,
-            phi1=_float(section, "phi1", _require(section, mapping, "phi1")),
-            phi2=_float(section, "phi2", _require(section, mapping, "phi2")),
-            phi3=_float(section, "phi3", _require(section, mapping, "phi3")),
-            n=_int(section, "n", _require(section, mapping, "n")),
-            seed=seed,
-        )
-
-
-def _parse_propensity_scenario(section: str, mapping, seed: int) -> PropensityScenario:
-    _reject_unknown(section, mapping, {"kind", "model", "correlations", "n", "gamma"})
-    if ("model" in mapping) == ("correlations" in mapping):
-        raise ConfigError(f"[{section}]: give exactly one of 'model' or 'correlations'")
-    if "model" in mapping:
-        correlation_model: object = mapping["model"].strip()
-    else:
-        correlation_model = tuple(_scalar_list(section, "correlations", mapping["correlations"]))
-    with _scenario_errors(section):
-        return PropensityScenario(
-            correlation_model=correlation_model,
-            n=_int(section, "n", _require(section, mapping, "n")),
-            gamma=_float(section, "gamma", mapping.get("gamma", "0.5")),
-            seed=seed,
-        )
-
-
-_SCENARIO_PARSERS = {"ci": _parse_ci_scenario, "cd": _parse_cd_scenario,
-                     "propensity": _parse_propensity_scenario}
+        for field in scenario_fields:
+            if field.name == "family":
+                values["family"] = family
+            elif field.name == "params_control":
+                pairs = {f.name: _pair(section, f.name, _require(section, mapping, f.name))
+                         for f in fields(_PARAM_TYPES[family])
+                         if f.name in mapping or f.default is MISSING}
+                values["params_control"], values["params_treated"] = _family_params(family, pairs)
+            elif field.name == "correlation_model":
+                if ("model" in mapping) == ("correlations" in mapping):
+                    raise ConfigError(f"[{section}]: give exactly one of 'model' or 'correlations'")
+                values[field.name] = (
+                    mapping["model"].strip() if "model" in mapping
+                    else tuple(_scalar_list(section, "correlations", mapping["correlations"]))
+                )
+            elif field.name not in values and (field.name in mapping or field.default is MISSING):
+                raw = _require(section, mapping, field.name)
+                values[field.name] = _READERS[field.type](section, field.name, raw)
+        return cls(**values)
 
 
 def load_scenarios(path, seed: int) -> list[NamedScenario]:
@@ -452,7 +416,7 @@ def load_scenarios(path, seed: int) -> list[NamedScenario]:
         seen.add(name)
         mapping = parser[section]
         kind = _require(section, mapping, "kind").strip().lower()
-        if kind not in _SCENARIO_PARSERS:
+        if kind not in _SCENARIO_KINDS:
             raise ConfigError(f"[{section}]: kind must be ci, cd, or propensity, got {kind!r}")
-        scenarios.append(NamedScenario(name, _SCENARIO_PARSERS[kind](section, mapping, seed)))
+        scenarios.append(NamedScenario(name, _parse_scenario(section, mapping, kind, seed)))
     return scenarios

@@ -43,8 +43,9 @@ class CostDataset:
     def __post_init__(self):
         cost = np.asarray(self.cost, dtype=np.float64)
         time = np.asarray(self.time, dtype=np.float64)
-        uncensored = np.asarray(self.uncensored, dtype=bool)
-        treatment = np.asarray(self.treatment, dtype=np.int64)
+        # The codes are checked before they are cast, so 0.5 or NaN cannot pass as 0/1.
+        uncensored = np.asarray(self.uncensored)
+        treatment = np.asarray(self.treatment)
         covariates = np.atleast_2d(np.asarray(self.covariates, dtype=np.float64))
         names = tuple(str(n) for n in self.covariate_names)
 
@@ -67,8 +68,12 @@ class CostDataset:
             raise ValueError("costs must be finite and nonnegative")
         if not np.all(np.isfinite(time)) or np.any(time <= 0):
             raise ValueError("follow-up times must be finite and positive")
-        if not np.all(np.isin(treatment, (0, 1))):
+        if not ((treatment == 0) | (treatment == 1)).all():
             raise ValueError("treatment must be coded 0/1")
+        if not ((uncensored == 0) | (uncensored == 1)).all():
+            raise ValueError("uncensored must be coded 0/1")
+        treatment = treatment.astype(np.int64, copy=False)
+        uncensored = uncensored.astype(bool, copy=False)
         if not np.all(np.isfinite(covariates)):
             raise ValueError("covariates must be finite")
         if len(set(names)) != len(names):

@@ -94,13 +94,6 @@ def _largest(r: np.ndarray) -> float:
     return float(r[np.nanargmax(np.abs(r))])
 
 
-def _largest_pairwise(column: np.ndarray, others: np.ndarray, method: str) -> float:
-    """Signed value of the largest-magnitude correlation of ``column`` with a
-    column of ``others``, by the rules of :func:`_correlations`; ties go to
-    the first."""
-    return _largest(_correlations(np.vstack([column, others.T]), method)[0, 1:])
-
-
 @dataclass(frozen=True)
 class CorrelationReport:
     """How one covariate relates to the combined effect of the others.

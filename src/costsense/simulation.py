@@ -57,6 +57,8 @@ _ATTEMPT_STRIDE = 16
 _MAX_REGENERATIONS = 1000
 _QUAD_NODES = 64
 _POISSON_SUPPORT = np.arange(61.0)
+# numpy's Poisson sampler refuses larger rates.
+_POISSON_RATE_MAX = np.iinfo(np.int64).max - 10.0 * math.sqrt(np.iinfo(np.int64).max)
 
 
 def _rng(seed: int, replication: int, stream: int) -> np.random.Generator:
@@ -73,6 +75,10 @@ class CIScenario:
     mean 0 (control) or 1 (treated). Censoring status is a coin flip with
     probability ``censor_prob``; observed time is exponential with mean 5
     when the cost is uncensored and uniform on [0, 10] otherwise.
+
+    The fields are the keys of a ``kind = ci`` section and their defaults
+    its defaults; ``params_*`` are read from the family's keys as
+    ``control/treated`` pairs, and the caller gives ``seed``.
     """
 
     kind = "ci"
@@ -91,6 +97,8 @@ class CIScenario:
     def __post_init__(self):
         for arm, params in (("control", self.params_control), ("treated", self.params_treated)):
             check_params(self.family, params, "scenario", arm)
+            if self.family is ConfounderFamily.POISSON and params.rate > _POISSON_RATE_MAX:
+                raise ValueError(f"rate {params.rate} of the {arm} arm is beyond numpy's sampler")
         if self.n_per_arm < 4:
             raise ValueError(f"n_per_arm must be at least 4, got {self.n_per_arm}")
         if not 0.0 <= self.censor_prob < 1.0:
@@ -120,6 +128,9 @@ class CDScenario:
     max(0.9 + 0.1z, 0), or Gamma(0.5, 0.65 + 0.2|z|)); treatment is
     Bernoulli with success expit(phi1 + phi2*z + phi3*u). Costs and
     censoring follow the same laws as in CIScenario.
+
+    The fields are the keys of a ``kind = cd`` section and their defaults
+    its defaults; the caller gives ``seed``.
     """
 
     kind = "cd"
@@ -143,7 +154,10 @@ class CDScenario:
             raise ValueError(f"censor_prob must lie in [0, 1), got {self.censor_prob}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
-        _set_correction(self, *_cd_marginal_params(self.family, self.phi1, self.phi2, self.phi3))
+        # An index beyond the float range saturates; _arm_mass rejects an arm it empties.
+        with np.errstate(over="ignore", invalid="ignore"):
+            marginals = _cd_marginal_params(self.family, self.phi1, self.phi2, self.phi3)
+        _set_correction(self, *marginals)
 
     def generate(self, replication: int) -> tuple[CostDataset, np.ndarray, int]:
         """Redraw from the next stream block while an arm is empty.
@@ -155,7 +169,8 @@ class CDScenario:
             z = _rng(self.seed, replication, base + _Z_STREAM).normal(1.0, 1.0, self.n)
             rng_u = _rng(self.seed, replication, base + _U_STREAM)
             u = _sample_conditional_confounder(rng_u, self.family, z)
-            assign = expit(self.phi1 + self.phi2 * z + self.phi3 * u)
+            with np.errstate(over="ignore", invalid="ignore"):
+                assign = expit(self.phi1 + self.phi2 * z + self.phi3 * u)
             x = (_rng(self.seed, replication, base + _TREAT_STREAM).random(self.n) < assign).astype(float)
             if 0.0 < x.mean() < 1.0:
                 return _assemble(self, replication, x, z, u, base), u, attempt
@@ -194,6 +209,10 @@ class PropensityScenario:
 
     Validation resolves ``correlations`` (the three U-Z correlations) and
     the Cholesky factor of the joint law once, as plain attributes.
+
+    The fields are the keys of a ``kind = propensity`` section and their
+    defaults its defaults; ``correlation_model`` is read from ``model`` or
+    ``correlations``, and the caller gives ``seed``.
     """
 
     kind = "propensity"
@@ -242,7 +261,9 @@ class PropensityScenario:
         u, z = draws[:, 0], draws[:, 1:]
         assign = expit(_PROPENSITY_INTERCEPT + z @ np.asarray(_PROPENSITY_SLOPES))
         x = (rng.random(n) < assign).astype(float)
-        cost = _draw_costs(rng, 5.0 + x + self.gamma * u + z.sum(axis=1), replication)
+        with np.errstate(over="ignore", invalid="ignore"):
+            log_mean = 5.0 + x + self.gamma * u + z.sum(axis=1)
+        cost = _draw_costs(rng, log_mean, replication)
         dataset = CostDataset(
             cost=cost,
             time=np.ones(n),
@@ -310,7 +331,7 @@ def _sample_conditional_confounder(
 
 
 def _draw_costs(rng, log_mean, replication: int, regenerated: int = 0) -> np.ndarray:
-    """Gamma costs with mean and variance ``exp(log_mean)``; CostOverflowError if one overflows."""
+    """Gamma costs with mean and variance ``exp(log_mean)``; CostOverflowError unless finite."""
     with np.errstate(over="ignore"):
         cost = rng.gamma(np.exp(log_mean), scale=1.0)
     if not np.all(np.isfinite(cost)):
@@ -320,7 +341,8 @@ def _draw_costs(rng, log_mean, replication: int, regenerated: int = 0) -> np.nda
 
 def _assemble(scenario, replication: int, x, z, u, stream_base: int = 0) -> CostDataset:
     seed = scenario.seed
-    log_mean = scenario.alpha + scenario.beta_true * x + scenario.gamma * u + scenario.theta_z * z
+    with np.errstate(over="ignore", invalid="ignore"):
+        log_mean = scenario.alpha + scenario.beta_true * x + scenario.gamma * u + scenario.theta_z * z
     cost = _draw_costs(_rng(seed, replication, stream_base + _COST_STREAM), log_mean, replication,
                        stream_base // _ATTEMPT_STRIDE)
     censored = _rng(seed, replication, stream_base + _STATUS_STREAM).random(x.size) < scenario.censor_prob
@@ -383,12 +405,23 @@ def _gauss_laguerre(alpha: float) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights / weights.sum()
 
 
+def _arm_mass(weights: np.ndarray) -> float:
+    """Total quadrature weight of an arm; ValueError unless it is positive."""
+    mass = float(weights.sum())
+    if not mass > 0.0:
+        raise ValueError("phi1, phi2 and phi3 leave a treatment arm with no probability")
+    return mass
+
+
 def _arm_moments(joint: np.ndarray, arm: np.ndarray, u: np.ndarray) -> tuple[float, float]:
-    """First two moments of U under quadrature weights ``joint * arm``."""
-    mass = float((joint * arm).sum())
+    """Mean and variance of U under quadrature weights ``joint * arm``;
+    ValueError unless the variance is positive."""
+    mass = _arm_mass(joint * arm)
     m1 = float((joint * arm * u).sum()) / mass
-    m2 = float((joint * arm * u * u).sum()) / mass
-    return m1, m2
+    var = float((joint * arm * u * u).sum()) / mass - m1 * m1
+    if not var > 0.0:
+        raise ValueError("phi1, phi2 and phi3 leave U without spread in a treatment arm")
+    return m1, var
 
 
 @lru_cache(maxsize=None)
@@ -419,7 +452,7 @@ def _cd_marginal_params(
         for weight_1, weight_0 in ((1.0 - take_1, 1.0 - take_0), (take_1, take_0)):
             on = z_w @ (q * weight_1)
             off = z_w @ ((1.0 - q) * weight_0)
-            prev.append(on / (on + off))
+            prev.append(on / _arm_mass(on + off))
         return BernoulliParams(prev[0]), BernoulliParams(prev[1])
 
     if family is ConfounderFamily.NORMAL:
@@ -427,8 +460,8 @@ def _cd_marginal_params(
         joint = z_w[:, None] * z_w[None, :]
         out = []
         for arm in arm_weights(u):
-            m1, m2 = _arm_moments(joint, arm, u)
-            out.append(NormalParams(mean=m1, sd=math.sqrt(m2 - m1 * m1)))
+            m1, var = _arm_moments(joint, arm, u)
+            out.append(NormalParams(mean=m1, sd=math.sqrt(var)))
         return out[0], out[1]
 
     if family is ConfounderFamily.POISSON:
@@ -439,8 +472,7 @@ def _cd_marginal_params(
         joint = z_w[:, None] * pmf
         rates = []
         for arm in arm_weights(support[None, :]):
-            mass = float((joint * arm).sum())
-            rates.append(float((joint * arm * support[None, :]).sum()) / mass)
+            rates.append(float((joint * arm * support[None, :]).sum()) / _arm_mass(joint * arm))
         return PoissonParams(rates[0]), PoissonParams(rates[1])
 
     shape = 0.5
@@ -450,8 +482,7 @@ def _cd_marginal_params(
     joint = z_w[:, None] * t_w[None, :]
     out = []
     for arm in arm_weights(u):
-        m1, m2 = _arm_moments(joint, arm, u)
-        var = m2 - m1 * m1
+        m1, var = _arm_moments(joint, arm, u)
         out.append(GammaParams(shape=m1 * m1 / var, scale=var / m1))
     return out[0], out[1]
 
@@ -584,17 +615,6 @@ def run_replication(scenario, replication: int, fit_true_model: bool = False,
         regenerated=regenerated,
         beta_true_model=beta_true_model,
     )
-
-
-def run_replications(scenario, replications: int, fit_true_model: bool = False,
-                     variance: str = "sandwich", level: float = 0.95) -> list[ReplicationRecord]:
-    if replications < 1:
-        raise ValueError(f"replications must be at least 1, got {replications}")
-    return [
-        run_replication(scenario, rep, fit_true_model=fit_true_model,
-                        variance=variance, level=level)
-        for rep in range(replications)
-    ]
 
 
 def aggregate(scenario, records: list[ReplicationRecord]) -> SimulationResult:

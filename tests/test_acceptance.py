@@ -36,7 +36,7 @@ from costsense import (
     fit_cost,
     gamma_arms_from_mean_ratio,
     log_mgf,
-    run_replications,
+    run_replication,
     sweep,
 )
 from costsense.glm import DesignSpec, Family, irls_fit
@@ -220,7 +220,7 @@ def test_monte_carlo_anchor_cells():
             gamma=gamma, n_per_arm=100, censor_prob=censor_prob,
             seed=SIMULATION_SEED,
         )
-        return label, aggregate(scenario, run_replications(scenario, 1000))
+        return label, aggregate(scenario, [run_replication(scenario, rep) for rep in range(1000)])
 
     label, result = cell("bernoulli g=0.25 uncensored", ConfounderFamily.BERNOULLI,
                          BernoulliParams(0.3), BernoulliParams(0.866), 0.25, 0.0)
@@ -257,7 +257,8 @@ def test_conditional_dependence_anchor():
         family=ConfounderFamily.BERNOULLI, phi1=-1.0, phi2=1.0, phi3=2.0,
         n=500, gamma=0.75, censor_prob=0.25, seed=SIMULATION_SEED,
     )
-    result = aggregate(scenario, run_replications(scenario, 1000, level=0.99))
+    records = [run_replication(scenario, rep, level=0.99) for rep in range(1000)]
+    result = aggregate(scenario, records)
     checks = [
         (f"unadjusted bias {result.bias_unadjusted:+.1%}",
          0.25 <= result.bias_unadjusted <= 0.37),
@@ -379,7 +380,7 @@ def test_adjustment_matches_true_model_fit():
             family=family, params_control=control, params_treated=treated,
             gamma=0.5, n_per_arm=5000, censor_prob=0.0, seed=424242,
         )
-        records = run_replications(scenario, 200, fit_true_model=True)
+        records = [run_replication(scenario, rep, fit_true_model=True) for rep in range(200)]
         diffs = np.array([
             record.beta_adjusted - record.beta_true_model
             for record in records if record.converged

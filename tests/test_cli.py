@@ -10,6 +10,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
+import os
 import subprocess
 import sys
 import tempfile
@@ -756,3 +757,117 @@ def test_adjust_and_sweep_never_escape_with_an_exception(files):
             with contextlib.redirect_stdout(io.StringIO()), \
                     contextlib.redirect_stderr(io.StringIO()):
                 assert main([command, "--input", str(path)]) in (0, 1, 2), text
+
+
+@pytest.mark.parametrize("shape_and_scale", ["", "shape = zz\nscale = zz\n"])
+def test_scenario_errors_do_not_depend_on_the_hash_seed(tmp_path, shape_and_scale):
+    # Both of the gamma parameters are missing, or both are garbage: the
+    # error names the first in field order, whatever the string hashes are.
+    path = tmp_path / "gamma.ini"
+    path.write_text("[scenario g]\nkind = ci\nfamily = gamma\n" + shape_and_scale
+                    + "gamma = 0.5\nn_per_arm = 20\n")
+    errors = []
+    for hash_seed in ("0", "1"):
+        result = subprocess.run(
+            [sys.executable, "-m", "costsense", "simulate", "--input", str(path), "--seed", "1"],
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+        )
+        assert result.returncode == 2
+        errors.append(result.stderr)
+    assert errors[0] == errors[1]
+    error = errors[0]
+    assert error.startswith("error: config-error: [scenario g]: ") and "shape" in error
+    assert "scale" not in error
+
+
+@pytest.mark.parametrize("section, status, error", [
+    # A treatment index beyond the float range leaves the control arm with no
+    # probability: the quadrature of U's law in that arm divides by zero.
+    ("kind = cd\nfamily = bernoulli\nphi1 = 710\nphi2 = 1\nphi3 = -0.5\nn = 20\n", 2,
+     "leave a treatment arm with no probability"),
+    ("kind = cd\nfamily = poisson\nphi1 = 1e308\nphi2 = 1\nphi3 = 2\nn = 60\n", 2,
+     "leave a treatment arm with no probability"),
+    # The index overflows in some draws only; each arm keeps its probability.
+    ("kind = cd\nfamily = normal\nphi1 = 0.5\nphi2 = 1\nphi3 = 1e308\nn = 20\n", 0, ""),
+    # The treated arm is the one quadrature node with the smallest U: U has
+    # no spread there, so its Gamma moment match divides by zero.
+    ("kind = cd\nfamily = gamma\nphi1 = 6.6e9\nphi2 = 0\nphi3 = -1e12\nn = 40\n", 2,
+     "leave U without spread in a treatment arm"),
+    # numpy's Poisson sampler refuses the rate.
+    ("kind = ci\nfamily = poisson\nrate = 1e308\nn_per_arm = 20\n", 2, "beyond numpy's sampler"),
+    # The log-mean cost overflows before exp does: failed replications.
+    ("kind = ci\nfamily = normal\nmean = 0.5\nn_per_arm = 20\ntheta_z = 1e308\n", 0, ""),
+])
+def test_simulate_degenerate_scenarios_fail_cleanly(tmp_path, capsys, section, status, error):
+    path = tmp_path / "extreme.ini"
+    gamma = "-0.25" if "poisson" in section else "0.5"
+    path.write_text(f"[scenario x]\n{section}gamma = {gamma}\n")
+    got, _, err = _run(capsys, "simulate", "--input", str(path), "--seed", "1", "--reps", "2")
+    assert got == status
+    if status:
+        assert err.startswith("error: config-error: [scenario x]: ") and error in err
+    else:
+        assert err == ""
+
+
+# Valid values per scenario key, small enough that two replications take
+# milliseconds. A CI section's parameter keys follow its family, and a
+# propensity section gives either a model name or its correlations.
+_SCENARIO_VALUES = {
+    "ci": {"n_per_arm": ["4", "20"], "gamma": ["0.5", "-0.25"], "censor_prob": ["0", "0.5"],
+           "alpha": ["5", "1"], "beta_true": ["1", "0"], "theta_z": ["1", "-1"]},
+    "cd": {"phi1": ["-1", "0.5"], "phi2": ["1", "0"], "phi3": ["2", "-0.5"], "n": ["20", "60"],
+           "gamma": ["0.5", "-0.25"], "censor_prob": ["0", "0.25"], "alpha": ["5"],
+           "beta_true": ["1"], "theta_z": ["1"]},
+    "propensity": {"n": ["100", "150"], "gamma": ["0.5", "0"]},
+}
+_SCENARIO_LAYOUTS = {
+    "bernoulli": {"prevalence": ["0.3/0.866", "0.5"]},
+    "normal": {"mean": ["0/1", "0.5"], "sd": ["1/2", "1"]},
+    "poisson": {"rate": ["1/2", "0.5"]},
+    "gamma": {"shape": ["0.5/0.9", "1"], "scale": ["0.75", "0.5/1"]},
+    "model": {"model": ["model1", "model2"]},
+    "correlations": {"correlations": ["0.3, 0.1, -0.2", "0, 0, 0"]},
+}
+_SCENARIO_GARBAGE = ["zz", "", "-1", "0", "nan", "inf", "1e308", "710", "0.5/0.5/0.5", "1/2", "3"]
+_SCENARIO_UNKNOWN = ["seed", "extra", "family", "model", "n", "n_per_arm", "phi1", "sd", "shape"]
+
+
+@st.composite
+def _scenario_sections(draw):
+    """A valid ``[scenario]`` section of any kind with up to two faults: a key
+    dropped, a key set to garbage, or a key the kind does not take."""
+    kind = draw(st.sampled_from(sorted(_SCENARIO_VALUES)))
+    items = {"kind": kind}
+    if kind == "propensity":
+        layout = draw(st.sampled_from(["model", "correlations"]))
+    else:
+        layout = items["family"] = draw(st.sampled_from(["bernoulli", "normal", "poisson", "gamma"]))
+    candidates = {**_SCENARIO_VALUES[kind]}
+    if kind != "cd":
+        candidates.update(_SCENARIO_LAYOUTS[layout])
+    items.update((key, draw(st.sampled_from(valid))) for key, valid in candidates.items())
+    for key in draw(st.lists(st.sampled_from(sorted(items) + _SCENARIO_UNKNOWN), max_size=2)):
+        value = draw(st.sampled_from([None] + _SCENARIO_GARBAGE))
+        if value is None:
+            items.pop(key, None)
+        else:
+            items[key] = value
+    return "[scenario fuzz]\n" + "".join(f"{key} = {value}\n" for key, value in items.items())
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_scenario_sections())
+def test_simulate_never_escapes_with_an_exception(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "scenarios.ini"
+        path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            status = main(["simulate", "--input", str(path), "--seed", "1", "--reps", "2"])
+    assert status in (0, 1, 2), text
+    if status == 0:
+        assert err.getvalue() == "", text
+    else:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, text

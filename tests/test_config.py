@@ -16,6 +16,7 @@ from costsense import (
     InputNotFoundError,
     PropensityScenario,
 )
+from costsense.cli import main
 from costsense.config import (
     load_adjust_config,
     load_scenarios,
@@ -352,3 +353,135 @@ def test_malformed_ini_is_a_config_error(tmp_path):
     path = _write(tmp_path / "junk.ini", "just some text\nwithout sections\n")
     with pytest.raises(ConfigError):
         load_sweep_config(path)
+
+
+# Four valid scenario sections, one per kind and confounder layout.
+_VALID_SECTIONS = {
+    "ci_gamma": {"kind": "ci", "family": "gamma", "shape": "0.5/0.9", "scale": "0.75",
+                 "gamma": "0.5", "n_per_arm": "20", "censor_prob": "0.25", "alpha": "4",
+                 "beta_true": "0.5", "theta_z": "0.8"},
+    "ci_normal": {"kind": "ci", "family": "normal", "mean": "0/1", "sd": "1/2", "gamma": "0.25",
+                  "n_per_arm": "20"},
+    "cd_poisson": {"kind": "cd", "family": "poisson", "phi1": "-1", "phi2": "1", "phi3": "0.5",
+                   "n": "40", "gamma": "0.5", "censor_prob": "0.1"},
+    "propensity": {"kind": "propensity", "correlations": "0.3, 0.1, -0.2", "n": "100",
+                   "gamma": "0.75"},
+}
+
+# Each valid section as it is, then with one fault: a key dropped (None), set
+# to "zz" or "-1", an unknown key, or a seed; with the exit status and the
+# stderr line (without its "error: " prefix) that simulate prints for it.
+# These messages are part of the command-line contract.
+_SINGLE_FAULTS = [
+    ("ci_gamma", None, None, 0, ""),
+    ("ci_gamma", "kind", None, 2, "config-error: [scenario s]: missing required key 'kind'"),
+    ("ci_gamma", "kind", "zz", 2, "config-error: [scenario s]: kind must be ci, cd, or propensity, got 'zz'"),
+    ("ci_gamma", "kind", "-1", 2, "config-error: [scenario s]: kind must be ci, cd, or propensity, got '-1'"),
+    ("ci_gamma", "family", None, 2, "config-error: [scenario s]: missing required key 'family'"),
+    ("ci_gamma", "family", "zz", 2, "config-error: [scenario s]: unknown confounder family 'zz'; expected one of bernoulli, normal, poisson, gamma"),
+    ("ci_gamma", "family", "-1", 2, "config-error: [scenario s]: unknown confounder family '-1'; expected one of bernoulli, normal, poisson, gamma"),
+    ("ci_gamma", "shape", None, 2, "config-error: [scenario s]: missing required key 'shape'"),
+    ("ci_gamma", "shape", "zz", 2, "config-error: [scenario s]: shape = 'zz' is not a number"),
+    ("ci_gamma", "shape", "-1", 2, "config-error: [scenario s]: shape and scale must be positive, got shape=-1.0, scale=0.75"),
+    ("ci_gamma", "scale", None, 2, "config-error: [scenario s]: missing required key 'scale'"),
+    ("ci_gamma", "scale", "zz", 2, "config-error: [scenario s]: scale = 'zz' is not a number"),
+    ("ci_gamma", "scale", "-1", 2, "config-error: [scenario s]: shape and scale must be positive, got shape=0.5, scale=-1.0"),
+    ("ci_gamma", "gamma", None, 2, "config-error: [scenario s]: missing required key 'gamma'"),
+    ("ci_gamma", "gamma", "zz", 2, "config-error: [scenario s]: gamma = 'zz' is not a number"),
+    ("ci_gamma", "gamma", "-1", 0, ""),
+    ("ci_gamma", "n_per_arm", None, 2, "config-error: [scenario s]: missing required key 'n_per_arm'"),
+    ("ci_gamma", "n_per_arm", "zz", 2, "config-error: [scenario s]: n_per_arm = 'zz' is not an integer"),
+    ("ci_gamma", "n_per_arm", "-1", 2, "config-error: [scenario s]: n_per_arm must be at least 4, got -1"),
+    ("ci_gamma", "censor_prob", None, 0, ""),
+    ("ci_gamma", "censor_prob", "zz", 2, "config-error: [scenario s]: censor_prob = 'zz' is not a number"),
+    ("ci_gamma", "censor_prob", "-1", 2, "config-error: [scenario s]: censor_prob must lie in [0, 1), got -1.0"),
+    ("ci_gamma", "alpha", None, 0, ""),
+    ("ci_gamma", "alpha", "zz", 2, "config-error: [scenario s]: alpha = 'zz' is not a number"),
+    ("ci_gamma", "alpha", "-1", 0, ""),
+    ("ci_gamma", "beta_true", None, 0, ""),
+    ("ci_gamma", "beta_true", "zz", 2, "config-error: [scenario s]: beta_true = 'zz' is not a number"),
+    ("ci_gamma", "beta_true", "-1", 0, ""),
+    ("ci_gamma", "theta_z", None, 0, ""),
+    ("ci_gamma", "theta_z", "zz", 2, "config-error: [scenario s]: theta_z = 'zz' is not a number"),
+    ("ci_gamma", "theta_z", "-1", 0, ""),
+    ("ci_gamma", "extra", "1", 2, "config-error: [scenario s]: unknown keys: extra"),
+    ("ci_gamma", "seed", "5", 2, "config-error: [scenario s]: seed is supplied by the caller (--seed), not the file"),
+    ("ci_normal", None, None, 0, ""),
+    ("ci_normal", "kind", None, 2, "config-error: [scenario s]: missing required key 'kind'"),
+    ("ci_normal", "kind", "zz", 2, "config-error: [scenario s]: kind must be ci, cd, or propensity, got 'zz'"),
+    ("ci_normal", "kind", "-1", 2, "config-error: [scenario s]: kind must be ci, cd, or propensity, got '-1'"),
+    ("ci_normal", "family", None, 2, "config-error: [scenario s]: missing required key 'family'"),
+    ("ci_normal", "family", "zz", 2, "config-error: [scenario s]: unknown confounder family 'zz'; expected one of bernoulli, normal, poisson, gamma"),
+    ("ci_normal", "family", "-1", 2, "config-error: [scenario s]: unknown confounder family '-1'; expected one of bernoulli, normal, poisson, gamma"),
+    ("ci_normal", "mean", None, 2, "config-error: [scenario s]: missing required key 'mean'"),
+    ("ci_normal", "mean", "zz", 2, "config-error: [scenario s]: mean = 'zz' is not a number"),
+    ("ci_normal", "mean", "-1", 0, ""),
+    ("ci_normal", "sd", None, 0, ""),
+    ("ci_normal", "sd", "zz", 2, "config-error: [scenario s]: sd = 'zz' is not a number"),
+    ("ci_normal", "sd", "-1", 2, "config-error: [scenario s]: sd must be positive, got -1.0"),
+    ("ci_normal", "gamma", None, 2, "config-error: [scenario s]: missing required key 'gamma'"),
+    ("ci_normal", "gamma", "zz", 2, "config-error: [scenario s]: gamma = 'zz' is not a number"),
+    ("ci_normal", "gamma", "-1", 0, ""),
+    ("ci_normal", "n_per_arm", None, 2, "config-error: [scenario s]: missing required key 'n_per_arm'"),
+    ("ci_normal", "n_per_arm", "zz", 2, "config-error: [scenario s]: n_per_arm = 'zz' is not an integer"),
+    ("ci_normal", "n_per_arm", "-1", 2, "config-error: [scenario s]: n_per_arm must be at least 4, got -1"),
+    ("ci_normal", "extra", "1", 2, "config-error: [scenario s]: unknown keys: extra"),
+    ("ci_normal", "seed", "5", 2, "config-error: [scenario s]: seed is supplied by the caller (--seed), not the file"),
+    ("cd_poisson", None, None, 0, ""),
+    ("cd_poisson", "kind", None, 2, "config-error: [scenario s]: missing required key 'kind'"),
+    ("cd_poisson", "kind", "zz", 2, "config-error: [scenario s]: kind must be ci, cd, or propensity, got 'zz'"),
+    ("cd_poisson", "kind", "-1", 2, "config-error: [scenario s]: kind must be ci, cd, or propensity, got '-1'"),
+    ("cd_poisson", "family", None, 2, "config-error: [scenario s]: missing required key 'family'"),
+    ("cd_poisson", "family", "zz", 2, "config-error: [scenario s]: unknown confounder family 'zz'; expected one of bernoulli, normal, poisson, gamma"),
+    ("cd_poisson", "family", "-1", 2, "config-error: [scenario s]: unknown confounder family '-1'; expected one of bernoulli, normal, poisson, gamma"),
+    ("cd_poisson", "phi1", None, 2, "config-error: [scenario s]: missing required key 'phi1'"),
+    ("cd_poisson", "phi1", "zz", 2, "config-error: [scenario s]: phi1 = 'zz' is not a number"),
+    ("cd_poisson", "phi1", "-1", 0, ""),
+    ("cd_poisson", "phi2", None, 2, "config-error: [scenario s]: missing required key 'phi2'"),
+    ("cd_poisson", "phi2", "zz", 2, "config-error: [scenario s]: phi2 = 'zz' is not a number"),
+    ("cd_poisson", "phi2", "-1", 0, ""),
+    ("cd_poisson", "phi3", None, 2, "config-error: [scenario s]: missing required key 'phi3'"),
+    ("cd_poisson", "phi3", "zz", 2, "config-error: [scenario s]: phi3 = 'zz' is not a number"),
+    ("cd_poisson", "phi3", "-1", 0, ""),
+    ("cd_poisson", "n", None, 2, "config-error: [scenario s]: missing required key 'n'"),
+    ("cd_poisson", "n", "zz", 2, "config-error: [scenario s]: n = 'zz' is not an integer"),
+    ("cd_poisson", "n", "-1", 2, "config-error: [scenario s]: n must be at least 20, got -1"),
+    ("cd_poisson", "gamma", None, 2, "config-error: [scenario s]: missing required key 'gamma'"),
+    ("cd_poisson", "gamma", "zz", 2, "config-error: [scenario s]: gamma = 'zz' is not a number"),
+    ("cd_poisson", "gamma", "-1", 0, ""),
+    ("cd_poisson", "censor_prob", None, 0, ""),
+    ("cd_poisson", "censor_prob", "zz", 2, "config-error: [scenario s]: censor_prob = 'zz' is not a number"),
+    ("cd_poisson", "censor_prob", "-1", 2, "config-error: [scenario s]: censor_prob must lie in [0, 1), got -1.0"),
+    ("cd_poisson", "extra", "1", 2, "config-error: [scenario s]: unknown keys: extra"),
+    ("cd_poisson", "seed", "5", 2, "config-error: [scenario s]: seed is supplied by the caller (--seed), not the file"),
+    ("propensity", None, None, 0, ""),
+    ("propensity", "kind", None, 2, "config-error: [scenario s]: missing required key 'kind'"),
+    ("propensity", "kind", "zz", 2, "config-error: [scenario s]: kind must be ci, cd, or propensity, got 'zz'"),
+    ("propensity", "kind", "-1", 2, "config-error: [scenario s]: kind must be ci, cd, or propensity, got '-1'"),
+    ("propensity", "correlations", None, 2, "config-error: [scenario s]: give exactly one of 'model' or 'correlations'"),
+    ("propensity", "correlations", "zz", 2, "config-error: [scenario s]: correlations = 'zz' is not a number"),
+    ("propensity", "correlations", "-1", 2, "correlation-model: [scenario s]: need exactly 3 correlations between U and Z, got 1"),
+    ("propensity", "n", None, 2, "config-error: [scenario s]: missing required key 'n'"),
+    ("propensity", "n", "zz", 2, "config-error: [scenario s]: n = 'zz' is not an integer"),
+    ("propensity", "n", "-1", 2, "config-error: [scenario s]: n must be at least 100, got -1"),
+    ("propensity", "gamma", None, 0, ""),
+    ("propensity", "gamma", "zz", 2, "config-error: [scenario s]: gamma = 'zz' is not a number"),
+    ("propensity", "gamma", "-1", 0, ""),
+    ("propensity", "extra", "1", 2, "config-error: [scenario s]: unknown keys: extra"),
+    ("propensity", "seed", "5", 2, "config-error: [scenario s]: seed is supplied by the caller (--seed), not the file"),
+]
+
+
+@pytest.mark.parametrize("section, key, value, status, error", _SINGLE_FAULTS,
+                         ids=[f"{s}-{k}-{v}" for s, k, v, _, _ in _SINGLE_FAULTS])
+def test_single_fault_scenario_sections_keep_their_status_and_message(
+        tmp_path, capsys, section, key, value, status, error):
+    items = dict(_VALID_SECTIONS[section])
+    if value is None:
+        items.pop(key, None)
+    else:
+        items[key] = value
+    path = _write(tmp_path / "s.ini",
+                  "[scenario s]\n" + "".join(f"{k} = {v}\n" for k, v in items.items()))
+    got = main(["simulate", "--input", path, "--seed", "3", "--reps", "2", "--format", "csv"])
+    assert (got, capsys.readouterr().err) == (status, f"error: {error}\n" if error else "")

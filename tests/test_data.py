@@ -392,3 +392,21 @@ def test_column_parse_names_the_cell_the_row_reader_named(tmp_path, table):
         assert (str(raised.value), raised.value.row) == (str(error), error.row)
     else:
         _assert_same_bits(load_dataset(path), expected)
+
+
+@pytest.mark.parametrize("column", ["treatment", "uncensored"])
+@pytest.mark.parametrize("code", [0.5, 1.7, np.nan])
+def test_codes_other_than_0_and_1_are_rejected_not_truncated(column, code):
+    columns = {"treatment": np.array([0.0, 1.0, 0.0]), "uncensored": np.array([1.0, 0.0, 1.0])}
+    columns[column][1] = code
+    with pytest.raises(ValueError, match=f"{column} must be coded 0/1"):
+        CostDataset(cost=np.ones(3), time=np.ones(3), covariates=np.zeros((3, 1)),
+                    covariate_names=("z1",), **columns)
+
+
+def test_exact_codes_keep_their_dtypes():
+    ds = CostDataset(cost=np.ones(3), time=np.ones(3), uncensored=[1.0, 0.0, 1.0],
+                     treatment=[True, False, True], covariates=np.zeros((3, 1)),
+                     covariate_names=("z1",))
+    assert ds.treatment.dtype == np.int64 and ds.treatment.tolist() == [1, 0, 1]
+    assert ds.uncensored.dtype == bool and ds.uncensored.tolist() == [True, False, True]

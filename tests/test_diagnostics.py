@@ -21,7 +21,13 @@ from costsense import (
     irls_fit,
     loo_correlation_report,
 )
-from costsense.diagnostics import CorrelationReport, _average_ranks, _corr, _largest_pairwise
+from costsense.diagnostics import (
+    CorrelationReport,
+    _average_ranks,
+    _corr,
+    _correlations,
+    _largest,
+)
 from costsense import glm
 from costsense.glm import DesignSpec
 
@@ -241,6 +247,13 @@ def test_average_ranks_equal_scipy_rankdata(values):
 def _pairwise_reference(column, others, method):
     """Every pair's correlation through :func:`_corr`, one pair at a time."""
     return [_corr(column, others[:, j], method) for j in range(others.shape[1])]
+
+
+def _largest_pairwise(column, others, method):
+    """The largest-magnitude correlation of ``column`` with a column of
+    ``others``, read as ``correlation_report`` reads it: from the first row
+    of one correlation matrix."""
+    return _largest(_correlations(np.vstack([column, others.T]), method)[0, 1:])
 
 
 def _first_largest(correlations):

@@ -27,7 +27,6 @@ from costsense import (
     generate_ci_dataset,
     log_mgf,
     run_replication,
-    run_replications,
     synthetic_cohort,
 )
 from costsense import censoring, glm, sensitivity, simulation
@@ -108,7 +107,7 @@ def test_ci_zero_censor_prob_leaves_everything_uncensored():
 
 def test_replications_are_schedule_independent():
     scenario = _bern_scenario(n_per_arm=50)
-    batch = run_replications(scenario, 6)
+    batch = [run_replication(scenario, rep) for rep in range(6)]
     solo = run_replication(scenario, 5)
     assert _same_fields(batch[5], solo)
     assert [record.replication for record in batch] == list(range(6))
@@ -116,8 +115,8 @@ def test_replications_are_schedule_independent():
 
 def test_run_study_is_deterministic():
     scenario = _bern_scenario(n_per_arm=50)
-    first = aggregate(scenario, run_replications(scenario, 30))
-    second = aggregate(scenario, run_replications(scenario, 30))
+    first = aggregate(scenario, [run_replication(scenario, rep) for rep in range(30)])
+    second = aggregate(scenario, [run_replication(scenario, rep) for rep in range(30)])
     assert _same_fields(first, second)
     assert first.replications == 30
     assert first.converged + first.convergence_failures == 30
@@ -142,7 +141,7 @@ def test_empirical_mgf_matches_closed_form_per_family():
 
 def test_zero_gamma_estimates_are_unbiased():
     scenario = _bern_scenario(gamma=0.0, n_per_arm=100, censor_prob=0.25, seed=303)
-    records = run_replications(scenario, 200)
+    records = [run_replication(scenario, rep) for rep in range(200)]
     estimates = np.array([r.beta_adjusted for r in records if r.converged])
     assert len(estimates) == 200
     se = estimates.std(ddof=1) / math.sqrt(len(estimates))
@@ -166,9 +165,9 @@ def test_cd_regeneration_is_counted_and_deterministic():
     # need at least one regeneration.
     scenario = _cd_scenario(family=ConfounderFamily.NORMAL, phi1=-6.0, phi2=0.0,
                             phi3=0.0, n=20, gamma=0.25, censor_prob=0.0, seed=41)
-    records = run_replications(scenario, 10)
+    records = [run_replication(scenario, rep) for rep in range(10)]
     assert sum(record.regenerated for record in records) > 0
-    again = run_replications(scenario, 10)
+    again = [run_replication(scenario, rep) for rep in range(10)]
     assert all(_same_fields(a, b) for a, b in zip(records, again))
 
 
@@ -250,7 +249,7 @@ def test_coverage_degrades_with_censoring():
     coverages = []
     for censor_prob in (0.0, 0.25, 0.5, 0.75):
         scenario = _bern_scenario(gamma=0.5, censor_prob=censor_prob)
-        result = aggregate(scenario, run_replications(scenario, 150))
+        result = aggregate(scenario, [run_replication(scenario, rep) for rep in range(150)])
         coverages.append(result.coverage_adjusted)
     for early, late in zip(coverages, coverages[1:]):
         assert late <= early + 0.03
@@ -258,15 +257,15 @@ def test_coverage_degrades_with_censoring():
 
 def test_adjusted_beats_unadjusted_under_conditional_dependence():
     scenario = _cd_scenario()
-    result = aggregate(scenario, run_replications(scenario, 100))
+    result = aggregate(scenario, [run_replication(scenario, rep) for rep in range(100)])
     assert abs(result.bias_adjusted) < abs(result.bias_unadjusted)
     assert result.coverage_adjusted > result.coverage_unadjusted
 
 
 def test_level_parameter_widens_intervals():
     scenario = _cd_scenario(n=200)
-    narrow = aggregate(scenario, run_replications(scenario, 100, level=0.5))
-    wide = aggregate(scenario, run_replications(scenario, 100, level=0.999))
+    narrow = aggregate(scenario, [run_replication(scenario, rep, level=0.5) for rep in range(100)])
+    wide = aggregate(scenario, [run_replication(scenario, rep, level=0.999) for rep in range(100)])
     assert narrow.coverage_adjusted < wide.coverage_adjusted
     # The estimates themselves do not depend on the level.
     assert narrow.mean_beta_adjusted == wide.mean_beta_adjusted
@@ -389,7 +388,7 @@ def test_scenario_validation():
 
 def test_propensity_model1_bias_vanishes():
     scenario = PropensityScenario("model1", n=2000, seed=11)
-    result = aggregate(scenario, run_replications(scenario, 80))
+    result = aggregate(scenario, [run_replication(scenario, rep) for rep in range(80)])
     assert result.convergence_failures == 0
     assert abs(result.bias_adjusted) < 0.015
     assert abs(result.corr_treated) < 0.05
@@ -398,7 +397,7 @@ def test_propensity_model1_bias_vanishes():
 
 def test_propensity_model2_keeps_small_positive_bias():
     scenario = PropensityScenario("model2", n=2000, seed=11)
-    result = aggregate(scenario, run_replications(scenario, 80))
+    result = aggregate(scenario, [run_replication(scenario, rep) for rep in range(80)])
     assert 0.0 < result.bias_adjusted < 0.05
     assert result.corr_treated < 0.0
     assert result.corr_control < 0.0
@@ -406,7 +405,7 @@ def test_propensity_model2_keeps_small_positive_bias():
 
 def test_propensity_zero_correlations_behave_like_no_confounding():
     scenario = PropensityScenario((0.0, 0.0, 0.0), n=1000, seed=3)
-    result = aggregate(scenario, run_replications(scenario, 60))
+    result = aggregate(scenario, [run_replication(scenario, rep) for rep in range(60)])
     assert abs(result.corr_treated) < 0.05
     assert abs(result.corr_control) < 0.05
     assert abs(result.bias_adjusted - result.bias_unadjusted) < 1e-12
@@ -422,8 +421,6 @@ def test_propensity_study_validation():
         PropensityScenario((0.8, 0.8, 0.8), n=1000, seed=1)
     with pytest.raises(ValueError, match="at least 100"):
         PropensityScenario("model1", n=50, seed=1)
-    with pytest.raises(ValueError):
-        run_replications(PropensityScenario("model1", n=1000, seed=1), 0)
 
 
 def test_correction_is_computed_once_per_scenario(monkeypatch):
@@ -442,7 +439,8 @@ def test_correction_is_computed_once_per_scenario(monkeypatch):
         scenario = build()
         assert len(calls) == 2, scenario.kind
         calls.clear()
-        run_replications(scenario, 5)
+        for rep in range(5):
+            run_replication(scenario, rep)
         assert calls == [], scenario.kind
 
 
