@@ -63,6 +63,8 @@ def km_censoring_survival(times, uncensored) -> StepSurvival:
     the censoring event and leave afterwards, so the factor at time ``t`` is
     ``1 - (#censorings at t) / (#records with time >= t)``. One cumulative
     product multiplies the factors in time order, as a running product would.
+    The factors depend only on each run of tied times, its count of
+    censorings and its first sorted position, so the sort need not be stable.
     """
     times = np.asarray(times, dtype=np.float64)
     uncensored = np.asarray(uncensored, dtype=bool)
@@ -73,20 +75,21 @@ def km_censoring_survival(times, uncensored) -> StepSurvival:
     if np.any(times <= 0) or not np.all(np.isfinite(times)):
         raise ValueError("times must be finite and positive")
 
-    order = np.argsort(times, kind="stable")
+    order = np.argsort(times)
     t_sorted = times[order]
     censor_event = ~uncensored[order]
 
-    distinct, start_idx = np.unique(t_sorted, return_index=True)
+    start_idx = np.flatnonzero(np.concatenate(([True], t_sorted[1:] != t_sorted[:-1])))
     censorings = np.add.reduceat(censor_event, start_idx, dtype=np.intp)
     at_risk = times.size - start_idx
     jumps = censorings > 0
     values = np.cumprod(1.0 - censorings[jumps] / at_risk[jumps])
-    return StepSurvival(distinct[jumps], values)
+    return StepSurvival(t_sorted[start_idx[jumps]], values)
 
 
-def _weights_from_survival(times, uncensored, survival: StepSurvival) -> np.ndarray:
-    probs = survival.evaluate(times)
+def _weights_from_probabilities(times, uncensored, probs) -> np.ndarray:
+    """``1 / probs`` for uncensored records, 0 for censored ones; the
+    guard runs in input order, so its error names the first bad record."""
     weights = np.zeros(times.shape[0])
     complete = np.asarray(uncensored, dtype=bool)
     bad = complete & (probs <= 0.0)
@@ -99,6 +102,26 @@ def _weights_from_survival(times, uncensored, survival: StepSurvival) -> np.ndar
         )
     weights[complete] = 1.0 / probs[complete]
     return weights
+
+
+def _weights_from_survival(times, uncensored, survival: StepSurvival) -> np.ndarray:
+    """Weights read from ``survival`` at each record's own time, keys unsorted."""
+    return _weights_from_probabilities(times, uncensored, survival.evaluate(times))
+
+
+def _km_weights(times: np.ndarray, uncensored: np.ndarray) -> np.ndarray:
+    """IPW weights from the censoring curve of these records.
+
+    The times are sorted once: the curve is built from the sorted records,
+    and each record's survival is looked up on the sorted keys, which binary
+    search visits in memory order, then scattered back to input order.
+    """
+    order = np.argsort(times)
+    t_sorted = times[order]
+    survival = km_censoring_survival(t_sorted, uncensored[order])
+    probs = np.empty(times.shape[0])
+    probs[order] = survival.evaluate(t_sorted)
+    return _weights_from_probabilities(times, uncensored, probs)
 
 
 def ipw_weights(dataset: CostDataset, stratify_by_arm: bool = False) -> np.ndarray:
@@ -114,18 +137,14 @@ def ipw_weights(dataset: CostDataset, stratify_by_arm: bool = False) -> np.ndarr
         is zero, identifying the record.
     """
     if not stratify_by_arm:
-        survival = km_censoring_survival(dataset.time, dataset.uncensored)
-        return _weights_from_survival(dataset.time, dataset.uncensored, survival)
+        return _km_weights(dataset.time, dataset.uncensored)
 
     weights = np.zeros(len(dataset))
     for arm in (0, 1):
         mask = dataset.treatment == arm
         if not np.any(mask):
             continue
-        survival = km_censoring_survival(dataset.time[mask], dataset.uncensored[mask])
-        weights[mask] = _weights_from_survival(
-            dataset.time[mask], dataset.uncensored[mask], survival
-        )
+        weights[mask] = _km_weights(dataset.time[mask], dataset.uncensored[mask])
     return weights
 
 

@@ -15,7 +15,7 @@ import io
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import astuple, fields
+from dataclasses import astuple, fields, replace
 from functools import partial
 from pathlib import Path
 
@@ -26,7 +26,7 @@ from .config import load_adjust_config, load_scenarios, load_sweep_config
 from .data import load_dataset, save_dataset, zero_cost_shift
 from .diagnostics import WITHIN_STRATUM_THRESHOLD, correlation_report
 from .errors import ConfigError, CostSenseError, DidNotConvergeError
-from .sensitivity import ApparentEffect, exp_ratio, sweep, z_quantile
+from .sensitivity import CONFIDENCE_LEVEL, ApparentEffect, exp_ratio, sweep, z_quantile
 from .simulation import (
     ReplicationRecord,
     SimulationResult,
@@ -86,8 +86,8 @@ def _emit(args, header, rows, human: str) -> None:
         print(human)
 
 
-def _effective_level(args, fallback: float = 0.95) -> float:
-    level = fallback if args.level is None else args.level
+def _effective_level(args) -> float:
+    level = CONFIDENCE_LEVEL if args.level is None else args.level
     if not 0.0 < level < 1.0:
         raise ConfigError(f"--level must lie strictly between 0 and 1, got {level}")
     return level
@@ -161,11 +161,7 @@ def _resolve_apparent(args, from_file: ApparentEffect | None) -> ApparentEffect:
             "no apparent effect: add an [apparent] section or pass --data DATASET"
         )
     if args.level is not None:
-        return ApparentEffect(
-            beta_star=from_file.beta_star,
-            se=from_file.se,
-            confidence_level=_effective_level(args),
-        )
+        return replace(from_file, confidence_level=_effective_level(args))
     return from_file
 
 
@@ -345,7 +341,7 @@ def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--variance", choices=("sandwich", "model"), default="sandwich",
                         help="covariance estimator (default: sandwich)")
     parser.add_argument("--level", type=float, default=None,
-                        help="confidence level (default: 0.95)")
+                        help=f"confidence level (default: {CONFIDENCE_LEVEL})")
     parser.add_argument("--stratify-censoring", action="store_true",
                         help="estimate the censoring distribution per treatment arm")
     parser.add_argument("--shift-zero-costs", action="store_true",
@@ -397,7 +393,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--variance", choices=("sandwich", "model"), default="sandwich",
                           help="covariance estimator for coverage (default: sandwich)")
     simulate.add_argument("--level", type=float, default=None,
-                          help="nominal level of the covered intervals (default: 0.95)")
+                          help="nominal level of the covered intervals "
+                               f"(default: {CONFIDENCE_LEVEL})")
     simulate.add_argument("--rep-output", help="write per-replication CSV here")
     _add_output_flags(simulate)
     simulate.set_defaults(handler=cmd_simulate)

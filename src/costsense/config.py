@@ -151,7 +151,10 @@ def parse_apparent(parser: configparser.ConfigParser) -> ApparentEffect | None:
         return None
     section = parser["apparent"]
     _reject_unknown("apparent", section, ("cost_ratio", "ci_low", "ci_high", "beta_star", "se", "level"))
-    level = _float("apparent", "level", section.get("level", "0.95"))
+    # An absent level is not passed, so ApparentEffect's default applies.
+    level = {}
+    if "level" in section:
+        level["confidence_level"] = _float("apparent", "level", section["level"])
     ratio_keys = [k for k in ("cost_ratio", "ci_low", "ci_high") if k in section]
     log_keys = [k for k in ("beta_star", "se") if k in section]
     if ratio_keys and log_keys:
@@ -162,13 +165,13 @@ def parse_apparent(parser: configparser.ConfigParser) -> ApparentEffect | None:
                 cost_ratio=_float("apparent", "cost_ratio", section["cost_ratio"]),
                 ci_low=_float("apparent", "ci_low", section["ci_low"]),
                 ci_high=_float("apparent", "ci_high", section["ci_high"]),
-                confidence_level=level,
+                **level,
             )
         if len(log_keys) == 2:
             return ApparentEffect(
                 beta_star=_float("apparent", "beta_star", section["beta_star"]),
                 se=_float("apparent", "se", section["se"]),
-                confidence_level=level,
+                **level,
             )
     except ValueError as err:
         raise ConfigError(f"[apparent]: {err}") from None

@@ -50,8 +50,9 @@ def _raise_on_separation(response, scores, coefficients, covariates, names) -> N
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
-    """1-based ranks of ``values``; each run of ties shares its mean rank."""
-    order = np.argsort(values, kind="stable")
+    """1-based ranks of ``values``; each run of ties shares its mean rank,
+    so the order inside a run does not matter and the sort need not be stable."""
+    order = np.argsort(values)
     ordered = values[order]
     starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
     ends = np.append(starts[1:], values.size)

@@ -25,6 +25,10 @@ every fit. Each fit sorts its rows into one canonical order and runs every
 reduction over it, so permuting input records reproduces results bit for bit.
 The order is lexicographic over all columns, but a fit whose responses do
 not tie, such as a cost fit on continuous costs, sorts on the response alone.
+That one-key sort is numpy's default, unstable one: an unstable sort may
+reorder equal keys, but with no two keys equal every correct sort returns the
+same permutation, so the order is still unique. Ties fall back to a stable
+lexsort over every column.
 """
 
 from __future__ import annotations
@@ -106,12 +110,14 @@ def _canonical_rows(spec: DesignSpec):
     """Response, design and weights of ``spec`` in canonical row order.
 
     The order is lexicographic on the response, then the design columns,
-    then the weights. When no two responses tie, a stable sort of the
-    response alone already is that order, and the full sort is skipped.
+    then the weights. When no two responses tie, a sort of the response
+    alone already is that order, and the full sort is skipped. That sort
+    need not be stable: without equal keys the sorted permutation is unique,
+    and any tie fails the strict-increase check and goes to the lexsort.
     """
     # A fixed row order fixes the summation order, making every reduction
     # invariant to input permutation.
-    order = np.argsort(spec.response, kind="stable")
+    order = np.argsort(spec.response)
     ordered = spec.response[order]
     if not np.all(ordered[1:] > ordered[:-1]):
         columns = [spec.design[:, j] for j in range(spec.design.shape[1] - 1, -1, -1)]

@@ -69,7 +69,11 @@ class NormalParams:
     sd: float = 1.0
 
     def __post_init__(self):
-        if self.sd <= 0:
+        if math.isnan(self.mean):
+            raise ValueError(f"mean must be a number, got {self.mean}")
+        # Every comparison with NaN is false, so each check asks for the valid
+        # range and NaN fails it.
+        if not self.sd > 0:
             raise ValueError(f"sd must be positive, got {self.sd}")
 
     def log_mgf(self, gamma: float) -> float:
@@ -81,7 +85,7 @@ class PoissonParams:
     rate: float
 
     def __post_init__(self):
-        if self.rate < 0:
+        if not self.rate >= 0:
             raise ValueError(f"rate must be nonnegative, got {self.rate}")
 
     def log_mgf(self, gamma: float) -> float:
@@ -94,7 +98,7 @@ class GammaParams:
     scale: float
 
     def __post_init__(self):
-        if self.shape <= 0 or self.scale <= 0:
+        if not (self.shape > 0 and self.scale > 0):
             raise ValueError(
                 f"shape and scale must be positive, got shape={self.shape}, scale={self.scale}"
             )
@@ -180,6 +184,10 @@ def exp_ratio(log_ratio: float) -> float:
         return math.inf
 
 
+# The confidence level wherever none is given.
+CONFIDENCE_LEVEL = 0.95
+
+
 def z_quantile(level: float) -> float:
     """Two-sided normal critical value for a confidence ``level`` in (0, 1)."""
     if not 0.0 < level < 1.0:
@@ -195,7 +203,7 @@ class ApparentEffect:
 
     beta_star: float
     se: float
-    confidence_level: float = 0.95
+    confidence_level: float = CONFIDENCE_LEVEL
 
     def __post_init__(self):
         if not np.isfinite(self.beta_star):
@@ -222,7 +230,8 @@ class ApparentEffect:
 
     @classmethod
     def from_ratio_ci(
-        cls, cost_ratio: float, ci_low: float, ci_high: float, confidence_level: float = 0.95
+        cls, cost_ratio: float, ci_low: float, ci_high: float,
+        confidence_level: float = CONFIDENCE_LEVEL,
     ) -> "ApparentEffect":
         """Build from a published cost ratio and its confidence interval.
 
@@ -284,9 +293,9 @@ def gamma_arms_from_mean_ratio(mean_ratio: float, var_over_mean: float):
     what reproduces the published sensitivity grids; an absolute location
     for the confounder is not identified by (ratio, scale) alone.
     """
-    if mean_ratio <= 0:
+    if not mean_ratio > 0:
         raise ValueError(f"mean ratio must be positive, got {mean_ratio}")
-    if var_over_mean <= 0:
+    if not var_over_mean > 0:
         raise ValueError(f"variance-to-mean ratio must be positive, got {var_over_mean}")
     control = GammaParams(shape=mean_ratio, scale=var_over_mean)
     treated = GammaParams(shape=1.0, scale=var_over_mean)

@@ -41,6 +41,7 @@ from .errors import CorrelationModelError, CostOverflowError, DidNotConvergeErro
 from .errors import EmptyFitError, EstimationError
 from .glm import expit, logit_scores
 from .sensitivity import (
+    CONFIDENCE_LEVEL,
     BernoulliParams,
     ConfounderFamily,
     ConfounderModel,
@@ -550,7 +551,8 @@ class SimulationResult:
 
 
 def run_replication(scenario, replication: int, fit_true_model: bool = False,
-                    variance: str = "sandwich", level: float = 0.95) -> ReplicationRecord:
+                    variance: str = "sandwich",
+                    level: float = CONFIDENCE_LEVEL) -> ReplicationRecord:
     """Generate one replication, fit, correct, and score coverage.
 
     ``level`` sets the nominal confidence level whose intervals the

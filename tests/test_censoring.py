@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from costsense import (
@@ -254,3 +254,65 @@ def test_ipw_weight_laws(follow_up, stratify):
     complete = ipw_weights(_dataset(times, np.ones(len(times), dtype=bool)),
                            stratify_by_arm=stratify)
     np.testing.assert_array_equal(complete, np.ones(len(times)))
+
+
+def _follow_up_at_scale(seed, n, distinct_times, censor_prob, censored_tail):
+    """``n`` follow-up records: continuous times when ``distinct_times`` is
+    None, else that many tied integer times. Every record at or beyond the
+    ``censored_tail`` quantile of the times is censored."""
+    rng = np.random.default_rng(seed)
+    if distinct_times is None:
+        times = rng.exponential(5.0, n) + 0.01
+    else:
+        times = rng.integers(1, distinct_times + 1, n).astype(np.float64)
+    uncensored = rng.random(n) >= censor_prob
+    uncensored[times >= np.quantile(times, censored_tail)] = False
+    return times, uncensored, rng.integers(0, 2, n)
+
+
+# n reaches the thousands, where numpy's vectorised unstable sort runs (below
+# 16 elements it falls back to insertion sort) and orders each run of tied
+# times differently from a stable sort.
+_AT_SCALE = dict(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 5000),
+    distinct_times=st.none() | st.integers(1, 200),
+    censor_prob=st.sampled_from([0.0, 0.25, 0.75, 1.0]),
+    censored_tail=st.sampled_from([0.5, 0.9, 1.0]),
+)
+
+
+def _unique_km(times, uncensored):
+    """The censoring curve counted over ``np.unique``'s distinct times."""
+    distinct, inverse = np.unique(times, return_inverse=True)
+    censorings = np.bincount(inverse[~uncensored], minlength=distinct.size)
+    at_risk = np.cumsum(np.bincount(inverse, minlength=distinct.size)[::-1])[::-1]
+    jumps = censorings > 0
+    return distinct[jumps], np.cumprod(1.0 - censorings[jumps] / at_risk[jumps])
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_AT_SCALE)
+def test_km_equals_the_unique_reference_at_scale(seed, n, distinct_times, censor_prob,
+                                                 censored_tail):
+    times, uncensored, _ = _follow_up_at_scale(seed, n, distinct_times, censor_prob,
+                                               censored_tail)
+    surv = km_censoring_survival(times, uncensored)
+    jump_times, values = _unique_km(times, uncensored)
+    assert surv.jump_times.tobytes() == jump_times.tobytes()
+    assert surv.values.tobytes() == values.tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(stratify=st.booleans(), **_AT_SCALE)
+def test_ipw_weights_equal_the_unsorted_lookup(seed, n, distinct_times, censor_prob,
+                                               censored_tail, stratify):
+    times, uncensored, arm = _follow_up_at_scale(seed, n, distinct_times, censor_prob,
+                                                 censored_tail)
+    want = np.zeros(n)
+    for mask in ((arm == 0, arm == 1) if stratify else (np.ones(n, dtype=bool),)):
+        if mask.any():
+            t, u = times[mask], uncensored[mask]
+            want[mask] = _weights_from_survival(t, u, km_censoring_survival(t, u))
+    got = ipw_weights(_dataset(times, uncensored, treatment=arm), stratify_by_arm=stratify)
+    assert got.tobytes() == want.tobytes()

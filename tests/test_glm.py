@@ -192,6 +192,15 @@ def test_canonical_rows_equal_the_full_lexsort(seed, n, responses):
         assert got.tobytes() == want.tobytes()
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1000, 5000),
+       responses=st.sampled_from(["distinct", "ties", "signed zeros"]))
+def test_canonical_rows_equal_the_full_lexsort_at_scale(seed, n, responses):
+    # The check above, at an n where numpy's default sort is its vectorised,
+    # unstable one; below 16 elements it is an insertion sort, which is stable.
+    test_canonical_rows_equal_the_full_lexsort.hypothesis.inner_test(seed, n, responses)
+
+
 def test_fit_sorts_its_rows_once(monkeypatch):
     calls = []
     original = glm._canonical_rows

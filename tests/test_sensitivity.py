@@ -91,6 +91,21 @@ def test_params_validation():
         GammaParams(shape=1.0, scale=-2.0)
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: NormalParams(mean=math.nan), "mean"),
+    (lambda: NormalParams(mean=0.0, sd=math.nan), "sd"),
+    (lambda: PoissonParams(rate=math.nan), "rate"),
+    (lambda: GammaParams(shape=math.nan, scale=1.0), "shape"),
+    (lambda: GammaParams(shape=1.0, scale=math.nan), "scale"),
+    (lambda: gamma_arms_from_mean_ratio(math.nan, 1.0), "mean ratio"),
+    (lambda: gamma_arms_from_mean_ratio(1.0, math.nan), "variance-to-mean"),
+], ids=["normal mean", "normal sd", "poisson rate", "gamma shape", "gamma scale",
+        "mean ratio", "variance-to-mean ratio"])
+def test_params_reject_nan(make, match):
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_family_from_string():
     assert ConfounderFamily.from_string("Gamma") is ConfounderFamily.GAMMA
     assert ConfounderFamily.from_string(" normal ") is ConfounderFamily.NORMAL
