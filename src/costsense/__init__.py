@@ -32,6 +32,7 @@ from .errors import (
     EmptyFitError,
     EstimationError,
     InputNotFoundError,
+    InvalidDataError,
     MgfDomainError,
     NoPositiveCostError,
     ParseError,
@@ -41,7 +42,7 @@ from .errors import (
     UsageError,
     ZeroProbabilityError,
 )
-from .glm import Family, FitResult, irls_fit
+from .glm import FitResult
 from .sensitivity import (
     AdjustedEffect,
     ApparentEffect,
@@ -91,11 +92,11 @@ __all__ = [
     "EmptyDatasetError",
     "EmptyFitError",
     "EstimationError",
-    "Family",
     "FitResult",
     "GAMMA_RATIO_CONVENTION",
     "GammaParams",
     "InputNotFoundError",
+    "InvalidDataError",
     "MgfDomainError",
     "NoPositiveCostError",
     "NormalParams",
@@ -120,7 +121,6 @@ __all__ = [
     "gamma_arms_from_mean_ratio",
     "generate_ci_dataset",
     "ipw_weights",
-    "irls_fit",
     "km_censoring_survival",
     "load_dataset",
     "log_mgf",

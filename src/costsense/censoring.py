@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CostDataset
-from .errors import EmptyDatasetError, ZeroProbabilityError
-from .glm import DesignSpec, Family, FitResult, irls_fit
+from .errors import EmptyDatasetError, InvalidDataError, ZeroProbabilityError
+from .glm import Family, FitResult, irls_fit
 
 
 @dataclass(frozen=True)
@@ -25,27 +25,16 @@ class StepSurvival:
     """Right-continuous step function starting at 1.
 
     ``jump_times`` are the strictly increasing times at which the function
-    drops; ``values`` holds the value from each jump onward.
+    drops; ``values`` holds the value from each jump onward, non-increasing
+    in [0, 1]. Its builder, :func:`km_censoring_survival`, meets all this.
     """
 
     jump_times: np.ndarray
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.jump_times, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        if times.shape != values.shape or times.ndim != 1:
-            raise ValueError("jump_times and values must be 1-d arrays of equal length")
-        if times.size and np.any(np.diff(times) <= 0):
-            raise ValueError("jump_times must be strictly increasing")
-        if np.any(values < 0) or np.any(values > 1):
-            raise ValueError("survival values must lie in [0, 1]")
-        if values.size and np.any(np.diff(values) > 0):
-            raise ValueError("survival values must be non-increasing")
-        times.setflags(write=False)
-        values.setflags(write=False)
-        object.__setattr__(self, "jump_times", times)
-        object.__setattr__(self, "values", values)
+        self.jump_times.setflags(write=False)
+        self.values.setflags(write=False)
 
     def evaluate(self, t) -> np.ndarray:
         """Value at ``t``, evaluated right-continuously (jumps included)."""
@@ -69,11 +58,11 @@ def km_censoring_survival(times, uncensored) -> StepSurvival:
     times = np.asarray(times, dtype=np.float64)
     uncensored = np.asarray(uncensored, dtype=bool)
     if times.ndim != 1 or times.shape != uncensored.shape:
-        raise ValueError("times and uncensored must be 1-d arrays of equal length")
+        raise InvalidDataError("times and uncensored must be 1-d arrays of equal length")
     if times.size == 0:
         raise EmptyDatasetError("no records for the censoring curve")
-    if np.any(times <= 0) or not np.all(np.isfinite(times)):
-        raise ValueError("times must be finite and positive")
+    if (times <= 0).any() or not np.isfinite(times).all():
+        raise InvalidDataError("times must be finite and positive")
 
     order = np.argsort(times)
     t_sorted = times[order]
@@ -102,11 +91,6 @@ def _weights_from_probabilities(times, uncensored, probs) -> np.ndarray:
         )
     weights[complete] = 1.0 / probs[complete]
     return weights
-
-
-def _weights_from_survival(times, uncensored, survival: StepSurvival) -> np.ndarray:
-    """Weights read from ``survival`` at each record's own time, keys unsorted."""
-    return _weights_from_probabilities(times, uncensored, survival.evaluate(times))
 
 
 def _km_weights(times: np.ndarray, uncensored: np.ndarray) -> np.ndarray:
@@ -174,7 +158,26 @@ def fit_censored_cost(dataset: CostDataset, stratify_censoring: bool = False) ->
 
 
 def fit_cost(dataset: CostDataset, design, weights) -> FitResult:
-    """Log-link regression of the costs on ``design`` with ``weights``."""
-    spec = DesignSpec(response=dataset.cost, design=design, weights=weights,
-                      family=Family.LOG_GAMMA)
-    return irls_fit(spec)
+    """Log-link regression of the costs on ``design`` with ``weights``.
+
+    The design and weights are checked here, where they enter; the costs
+    were checked when ``dataset`` was built.
+
+    Raises
+    ------
+    InvalidDataError
+        ``design`` is not a finite matrix with a row per record, or the
+        weights are not finite, nonnegative and one per record.
+    EmptyFitError, SingularDesignError
+        As :func:`~costsense.glm.irls_fit`.
+    """
+    design = np.asarray(design, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    n = len(dataset)
+    if design.ndim != 2 or design.shape[0] != n or weights.shape != (n,):
+        raise InvalidDataError(f"design and weights need one row per record, {n} here")
+    if not np.isfinite(design).all():
+        raise InvalidDataError("design matrix must be finite")
+    if not (np.isfinite(weights).all() and (weights >= 0).all()):
+        raise InvalidDataError("weights must be finite and nonnegative")
+    return irls_fit(dataset.cost, design, weights, Family.LOG_GAMMA)

@@ -25,7 +25,7 @@ from .censoring import cost_design, fit_censored_cost, fit_cost
 from .config import load_adjust_config, load_scenarios, load_sweep_config
 from .data import load_dataset, save_dataset, zero_cost_shift
 from .diagnostics import WITHIN_STRATUM_THRESHOLD, correlation_report
-from .errors import ConfigError, CostSenseError, DidNotConvergeError
+from .errors import ConfigError, CostSenseError, DidNotConvergeError, EstimationError
 from .sensitivity import CONFIDENCE_LEVEL, ApparentEffect, exp_ratio, sweep, z_quantile
 from .simulation import (
     ReplicationRecord,
@@ -150,10 +150,15 @@ def _resolve_apparent(args, from_file: ApparentEffect | None) -> ApparentEffect:
         )
     if args.data:
         _, fit = _load_and_fit(args, args.data)
-        covariance = _chosen_covariance(args, fit)
+        variance = float(_chosen_covariance(args, fit)[1, 1])
+        if not variance > 0:
+            raise EstimationError(
+                f"the fit gives the treatment coefficient a variance of {variance:g}; "
+                "the apparent effect needs a positive one"
+            )
         return ApparentEffect(
             beta_star=float(fit.coefficients[1]),
-            se=float(np.sqrt(covariance[1, 1])),
+            se=math.sqrt(variance),
             confidence_level=_effective_level(args),
         )
     if from_file is None:

@@ -8,14 +8,16 @@ Four of them are required, in any order: ``cost``, ``time``, ``event``
 
 from __future__ import annotations
 
+import contextlib
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import (
     EmptyDatasetError,
     InputNotFoundError,
+    InvalidDataError,
     NoPositiveCostError,
     ParseError,
     SchemaError,
@@ -31,6 +33,11 @@ class CostDataset:
     ``uncensored`` is True where the cost accumulated to the terminating
     event, False where follow-up stopped early. ``covariates`` holds one row
     per subject and one column per entry of ``covariate_names``.
+
+    Every cell is checked here, once, and the arrays are read-only, so what
+    is built from a dataset checks none of its values again: costs finite
+    and nonnegative, times finite and positive, codes exactly 0 or 1, and
+    covariates finite, else :class:`~costsense.errors.InvalidDataError`.
     """
 
     cost: np.ndarray
@@ -59,25 +66,25 @@ class CostDataset:
             or treatment.shape != (n,)
             or covariates.shape[0] != n
         ):
-            raise ValueError("column arrays must share one length")
+            raise InvalidDataError("column arrays must share one length")
         if covariates.shape[1] != len(names):
-            raise ValueError("covariate_names must match the covariate columns")
+            raise InvalidDataError("covariate_names must match the covariate columns")
         if n == 0:
             raise EmptyDatasetError("dataset has no records")
-        if not np.all(np.isfinite(cost)) or np.any(cost < 0):
-            raise ValueError("costs must be finite and nonnegative")
-        if not np.all(np.isfinite(time)) or np.any(time <= 0):
-            raise ValueError("follow-up times must be finite and positive")
+        if not np.isfinite(cost).all() or (cost < 0).any():
+            raise InvalidDataError("costs must be finite and nonnegative")
+        if not np.isfinite(time).all() or (time <= 0).any():
+            raise InvalidDataError("follow-up times must be finite and positive")
         if not ((treatment == 0) | (treatment == 1)).all():
-            raise ValueError("treatment must be coded 0/1")
+            raise InvalidDataError("treatment must be coded 0/1")
         if not ((uncensored == 0) | (uncensored == 1)).all():
-            raise ValueError("uncensored must be coded 0/1")
+            raise InvalidDataError("uncensored must be coded 0/1")
         treatment = treatment.astype(np.int64, copy=False)
         uncensored = uncensored.astype(bool, copy=False)
-        if not np.all(np.isfinite(covariates)):
-            raise ValueError("covariates must be finite")
+        if not np.isfinite(covariates).all():
+            raise InvalidDataError("covariates must be finite")
         if len(set(names)) != len(names):
-            raise ValueError("covariate names must be unique")
+            raise InvalidDataError("covariate names must be unique")
 
         for field, value in (
             ("cost", cost),
@@ -147,9 +154,9 @@ def load_dataset(path) -> CostDataset:
     covariate, in file order. Blank rows are skipped.
 
     The needed columns are converted a whole column at a time with
-    ``float`` and then checked as arrays. Only when that finds a problem
-    are the rows walked one at a time, to name the first bad cell in the
-    error.
+    ``float`` and checked as arrays by :class:`CostDataset`. Only when that
+    finds a problem are the rows walked one at a time, to name the first bad
+    cell in the error.
 
     Raises
     ------
@@ -172,50 +179,42 @@ def load_dataset(path) -> CostDataset:
     data_rows, width = rows[1:], len(rows[0])
     positions, cov_idx, cov_names = _resolve_header([cell.strip() for cell in rows[0]])
     values = _parse_columns(data_rows, width, [positions[role] for role in ROLE_NAMES] + cov_idx)
-    if values is None:
-        _raise_first_bad_cell(data_rows, width, positions, cov_idx, cov_names)
-    return CostDataset(
-        cost=values[0],
-        time=values[1],
-        uncensored=values[2] == 1.0,
-        treatment=values[3].astype(np.int64),
-        covariates=values[4:].T.copy(),
-        covariate_names=tuple(cov_names),
-    )
+    if values is not None:
+        with contextlib.suppress(InvalidDataError):
+            return CostDataset(
+                cost=values[0],
+                time=values[1],
+                uncensored=values[2],
+                treatment=values[3],
+                covariates=values[4:].T.copy(),
+                covariate_names=tuple(cov_names),
+            )
+    _raise_first_bad_cell(data_rows, width, positions, cov_idx, cov_names)
 
 
 def _parse_columns(rows, width: int, columns: list[int]) -> np.ndarray | None:
     """The cells of ``columns`` as floats, one array row per column.
 
     ``columns`` lists cost, time, event and treat, then the covariates. The
-    result is None when a row is shorter than ``width`` or a cell fails the
-    checks :func:`_raise_first_bad_cell` applies: not a number, not finite,
-    a negative cost, a non-positive time, or an indicator other than 0 or 1.
+    result is None when a row is shorter than ``width`` or a cell is not a
+    number; the value rules are :class:`CostDataset`'s.
     """
     if min(map(len, rows)) < width:
         return None
     transposed = list(zip(*rows))
     try:
-        values = np.array([np.fromiter(map(float, transposed[j]), np.float64, len(rows))
-                           for j in columns])
+        return np.array([np.fromiter(map(float, transposed[j]), np.float64, len(rows))
+                         for j in columns])
     except ValueError:
         return None
-    cost, time, indicators = values[0], values[1], values[2:4]
-    if (
-        not np.isfinite(values).all()
-        or (cost < 0).any()
-        or (time <= 0).any()
-        or not ((indicators == 0.0) | (indicators == 1.0)).all()
-    ):
-        return None
-    return values
 
 
 def _raise_first_bad_cell(rows, width: int, positions: dict, cov_idx, cov_names) -> None:
     """Raise the :class:`ParseError` that names the first bad cell in row order.
 
-    Called once :func:`_parse_columns` has rejected the rows. It checks the
-    same cells by the same rules, one row at a time, so it always finds one.
+    Called once :func:`_parse_columns` or :class:`CostDataset` has rejected
+    the rows. It checks the same cells by the same rules, one row at a time,
+    so it always finds one.
     """
     for i, row in enumerate(rows, start=1):
         if len(row) < width:
@@ -264,16 +263,13 @@ def zero_cost_shift(dataset: CostDataset) -> CostDataset:
     ------
     NoPositiveCostError
         Every cost in the dataset is zero.
+    InvalidDataError
+        A shifted cost overflows a float.
     """
     positive = dataset.cost[dataset.cost > 0]
     if positive.size == 0:
         raise NoPositiveCostError("all costs are zero; no positive cost to anchor the shift")
     shift = float(positive.min()) / 2.0
-    return CostDataset(
-        cost=dataset.cost + shift,
-        time=dataset.time,
-        uncensored=dataset.uncensored,
-        treatment=dataset.treatment,
-        covariates=dataset.covariates,
-        covariate_names=dataset.covariate_names,
-    )
+    if not np.isfinite(float(dataset.cost.max()) + shift):
+        raise InvalidDataError(f"shifting every cost by {shift:g} overflows a float")
+    return replace(dataset, cost=dataset.cost + shift)

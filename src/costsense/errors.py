@@ -4,6 +4,10 @@ Every error carries a stable kebab-case ``code`` so callers (the command
 line in particular) can report failures in a machine-readable way, plus an
 ``exit_status`` matching the CLI contract: 1 for estimation failures, 2 for
 usage or input errors.
+
+Each input is checked once, where it enters the program, and every check the
+command line can reach raises one of these classes; ``tests/test_errors.py``
+lists each builtin ``ValueError``, ``TypeError`` or ``KeyError`` left, and why.
 """
 
 
@@ -17,6 +21,13 @@ class UsageError(CostSenseError):
 
     code = "usage-error"
     exit_status = 2
+
+
+class InvalidDataError(UsageError, ValueError):
+    """Arrays that break a rule where they enter the program; it is also a
+    ``ValueError``, so callers that catch ``ValueError`` keep working."""
+
+    code = "invalid-data"
 
 
 class InputNotFoundError(UsageError):

@@ -19,6 +19,10 @@ and deviance of the step taken carry over to the next iteration. The
 builds its information matrix once per fit; the ``LOGIT_BINOMIAL`` one
 changes with every iterate.
 
+The fits take plain arrays and check none of their values: those were
+checked where they entered, in a :class:`~costsense.data.CostDataset` or,
+for a cost fit's design and weights, in :func:`costsense.censoring.fit_cost`.
+
 Robust (sandwich) covariance is the default variance estimate; a
 model-based covariance, built from the same bread, is also attached to
 every fit. Each fit sorts its rows into one canonical order and runs every
@@ -34,7 +38,7 @@ lexsort over every column.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -63,33 +67,6 @@ class Family(enum.Enum):
 
 
 @dataclass
-class DesignSpec:
-    """A regression problem: response, design matrix, weights, family."""
-
-    response: np.ndarray
-    design: np.ndarray
-    weights: np.ndarray
-    family: Family
-
-    def __post_init__(self):
-        self.response = np.asarray(self.response, dtype=np.float64)
-        self.design = np.atleast_2d(np.asarray(self.design, dtype=np.float64))
-        self.weights = np.asarray(self.weights, dtype=np.float64)
-        n = self.response.shape[0]
-        if self.design.shape[0] != n or self.weights.shape != (n,):
-            raise ValueError("response, design and weights must share one length")
-        if not np.all(np.isfinite(self.design)):
-            raise ValueError("design matrix must be finite")
-        if not np.all(np.isfinite(self.weights)) or np.any(self.weights < 0):
-            raise ValueError("weights must be finite and nonnegative")
-        if self.family is Family.LOG_GAMMA:
-            if np.any(self.response < 0) or not np.all(np.isfinite(self.response)):
-                raise ValueError("log-gamma responses must be finite and nonnegative")
-        elif np.any((self.response < 0) | (self.response > 1)):
-            raise ValueError("logit-binomial responses must lie in [0, 1]")
-
-
-@dataclass
 class FitResult:
     """Fitted coefficients plus both covariance estimates.
 
@@ -106,8 +83,8 @@ class FitResult:
     n_effective: int
 
 
-def _canonical_rows(spec: DesignSpec):
-    """Response, design and weights of ``spec`` in canonical row order.
+def _canonical_rows(y, X, w):
+    """Response ``y``, design ``X`` and weights ``w`` in canonical row order.
 
     The order is lexicographic on the response, then the design columns,
     then the weights. When no two responses tie, a sort of the response
@@ -117,17 +94,17 @@ def _canonical_rows(spec: DesignSpec):
     """
     # A fixed row order fixes the summation order, making every reduction
     # invariant to input permutation.
-    order = np.argsort(spec.response)
-    ordered = spec.response[order]
+    order = np.argsort(y)
+    ordered = y[order]
     if not np.all(ordered[1:] > ordered[:-1]):
-        columns = [spec.design[:, j] for j in range(spec.design.shape[1] - 1, -1, -1)]
-        order = np.lexsort(tuple([spec.weights] + columns + [spec.response]))
-    return _rows(spec, order)
+        columns = [X[:, j] for j in range(X.shape[1] - 1, -1, -1)]
+        order = np.lexsort(tuple([w] + columns + [y]))
+    return _rows(y, X, w, order)
 
 
-def _rows(spec: DesignSpec, order: np.ndarray):
-    """Response, design and weights of ``spec`` in ``order``."""
-    return spec.response[order], np.ascontiguousarray(spec.design[order]), spec.weights[order]
+def _rows(y, X, w, order: np.ndarray):
+    """Response, design and weights in ``order``."""
+    return y[order], np.ascontiguousarray(X[order]), w[order]
 
 
 def _family_terms(family: Family, eta: np.ndarray, y: np.ndarray):
@@ -150,11 +127,12 @@ def _deviance(family: Family, y, mu, w) -> float:
     return -2.0 * float((w * np.where(w > 0, ll, 0.0)).sum())
 
 
-def irls_fit(spec: DesignSpec) -> FitResult:
-    """Solve the weighted score equations of ``spec`` and attach both covariances.
+def irls_fit(response, design, weights, family: Family) -> FitResult:
+    """Solve the weighted score equations and attach both covariances.
 
-    The rows are put in canonical order once, for :func:`_newton` and
-    :func:`_finish` alike.
+    ``response``, ``design`` and ``weights`` are checked float64 arrays, one
+    row per record. The rows are put in canonical order once, for
+    :func:`_newton` and :func:`_finish` alike.
 
     Raises
     ------
@@ -163,8 +141,8 @@ def irls_fit(spec: DesignSpec) -> FitResult:
     SingularDesignError
         The design is rank deficient on the positively weighted rows.
     """
-    y, X, w = _canonical_rows(spec)
-    return _finish(spec.family, y, X, w, *_newton(spec.family, y, X, w))
+    y, X, w = _canonical_rows(response, design, weights)
+    return _finish(family, y, X, w, *_newton(family, y, X, w))
 
 
 def logit_scores(response, covariates, order=None):
@@ -177,11 +155,11 @@ def logit_scores(response, covariates, order=None):
     columns and more), to keep the fit invariant to permuting the records.
     """
     n = len(response)
+    y = np.asarray(response, dtype=np.float64)
     design = np.column_stack([np.ones(n), covariates])
-    spec = DesignSpec(response=response, design=design, weights=np.ones(n),
-                      family=Family.LOGIT_BINOMIAL)
-    rows = _canonical_rows(spec) if order is None else _rows(spec, order)
-    coefficients, converged = _newton(spec.family, *rows)[:2]
+    w = np.ones(n)
+    rows = _canonical_rows(y, design, w) if order is None else _rows(y, design, w, order)
+    coefficients, converged = _newton(Family.LOGIT_BINOMIAL, *rows)[:2]
     return expit(design @ coefficients), coefficients, converged
 
 

@@ -69,11 +69,11 @@ class NormalParams:
     sd: float = 1.0
 
     def __post_init__(self):
-        if math.isnan(self.mean):
-            raise ValueError(f"mean must be a number, got {self.mean}")
+        if not math.isfinite(self.mean):
+            raise ValueError(f"mean must be finite, got {self.mean}")
         # Every comparison with NaN is false, so each check asks for the valid
-        # range and NaN fails it.
-        if not self.sd > 0:
+        # range, bounded above by inf, and NaN and inf fail it.
+        if not 0 < self.sd < math.inf:
             raise ValueError(f"sd must be positive, got {self.sd}")
 
     def log_mgf(self, gamma: float) -> float:
@@ -85,7 +85,7 @@ class PoissonParams:
     rate: float
 
     def __post_init__(self):
-        if not self.rate >= 0:
+        if not 0 <= self.rate < math.inf:
             raise ValueError(f"rate must be nonnegative, got {self.rate}")
 
     def log_mgf(self, gamma: float) -> float:
@@ -98,7 +98,7 @@ class GammaParams:
     scale: float
 
     def __post_init__(self):
-        if not (self.shape > 0 and self.scale > 0):
+        if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
             raise ValueError(
                 f"shape and scale must be positive, got shape={self.shape}, scale={self.scale}"
             )

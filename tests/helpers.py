@@ -22,6 +22,7 @@ from costsense import (
     NormalParams,
     PoissonParams,
 )
+from costsense.censoring import _weights_from_probabilities
 
 FAMILIES = (
     ConfounderFamily.BERNOULLI,
@@ -163,3 +164,9 @@ def random_cost_dataset(seed: int, n: int = 200, censored: bool = True) -> CostD
         covariates=z.reshape(-1, 1),
         covariate_names=("z1",),
     )
+
+
+def weights_from_survival(times, uncensored, survival) -> np.ndarray:
+    """IPW weights read from the step function ``survival`` at each record's
+    own time, the keys unsorted: the reference for the sorted-key lookup."""
+    return _weights_from_probabilities(times, uncensored, survival.evaluate(times))

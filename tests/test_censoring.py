@@ -10,6 +10,7 @@ from costsense import (
     ConfounderFamily,
     CostDataset,
     EmptyDatasetError,
+    InvalidDataError,
     NormalParams,
     ZeroProbabilityError,
     fit_censored_cost,
@@ -18,9 +19,9 @@ from costsense import (
     ipw_weights,
     km_censoring_survival,
 )
-from costsense.censoring import StepSurvival, _weights_from_survival, cost_design
-from costsense.glm import DesignSpec, Family, irls_fit
-from helpers import random_cost_dataset
+from costsense.censoring import StepSurvival, cost_design
+from costsense.glm import Family, irls_fit
+from helpers import random_cost_dataset, weights_from_survival
 
 
 def _dataset(times, uncensored, treatment=None, cost=None):
@@ -103,7 +104,7 @@ def test_zero_probability_error_names_the_record():
     # one of its uncensored times, so drive the guard with a foreign curve.
     curve = StepSurvival(jump_times=np.array([2.0]), values=np.array([0.0]))
     with pytest.raises(ZeroProbabilityError) as excinfo:
-        _weights_from_survival(
+        weights_from_survival(
             np.array([1.0, 3.0]), np.array([True, True]), curve
         )
     assert excinfo.value.record == 1
@@ -132,15 +133,14 @@ def test_km_input_validation():
         km_censoring_survival([0.0, 1.0], [True, True])
     with pytest.raises(ValueError):
         km_censoring_survival([1.0, 2.0], [True])
+    # km_censoring_survival is public, so its two checks stay, typed.
+    with pytest.raises(InvalidDataError, match="finite and positive"):
+        km_censoring_survival([1.0, np.nan], [True, True])
+    with pytest.raises(InvalidDataError, match="equal length"):
+        km_censoring_survival([[1.0, 2.0]], [[True, False]])
 
 
-def test_step_survival_validation_and_lookup():
-    with pytest.raises(ValueError):
-        StepSurvival(jump_times=np.array([2.0, 1.0]), values=np.array([0.5, 0.4]))
-    with pytest.raises(ValueError):
-        StepSurvival(jump_times=np.array([1.0, 2.0]), values=np.array([0.4, 0.5]))
-    with pytest.raises(ValueError):
-        StepSurvival(jump_times=np.array([1.0]), values=np.array([1.5]))
+def test_step_survival_lookup():
     surv = StepSurvival(jump_times=np.array([2.0, 5.0]), values=np.array([0.5, 0.25]))
     np.testing.assert_allclose(
         surv.evaluate([1.0, 2.0, 4.9, 5.0, 50.0]), [1.0, 0.5, 0.5, 0.25, 0.25]
@@ -160,11 +160,29 @@ def test_fit_censored_cost_is_ipw_weighted_glm():
     fit = fit_censored_cost(ds)
     X, names = cost_design(ds)
     assert names[:2] == ("intercept", "treat")
-    spec = DesignSpec(
-        response=ds.cost, design=X, weights=ipw_weights(ds), family=Family.LOG_GAMMA
-    )
-    direct = irls_fit(spec)
+    direct = irls_fit(ds.cost, X, ipw_weights(ds), Family.LOG_GAMMA)
     np.testing.assert_array_equal(fit.coefficients, direct.coefficients)
+
+
+@pytest.mark.parametrize("change, match", [
+    (lambda X, w: (X[:-1], w), "one row per record"),
+    (lambda X, w: (X, w[:-1]), "one row per record"),
+    (lambda X, w: (X[:, 0], w), "one row per record"),
+    (lambda X, w: (np.where(X == X[3, 2], np.nan, X), w), "design matrix must be finite"),
+    (lambda X, w: (np.where(X == X[3, 2], -np.inf, X), w), "design matrix must be finite"),
+    (lambda X, w: (X, np.where(w == w[0], np.nan, w)), "weights must be finite and nonnegative"),
+    (lambda X, w: (X, np.where(w == w[0], np.inf, w)), "weights must be finite and nonnegative"),
+    (lambda X, w: (X, np.where(w == w[0], -1.0, w)), "weights must be finite and nonnegative"),
+], ids=["short design", "short weights", "1-d design", "NaN design", "inf design",
+        "NaN weight", "inf weight", "negative weight"])
+def test_fit_cost_rejects_a_bad_design_or_weights_with_a_typed_error(change, match):
+    # fit_cost is where a caller's design and weights enter, and the one place
+    # they are checked; irls_fit below it takes them as given.
+    ds = random_cost_dataset(3, n=40)
+    X, w = change(cost_design(ds)[0], ipw_weights(ds))
+    with pytest.raises(InvalidDataError, match=match) as raised:
+        fit_cost(ds, X, w)
+    assert isinstance(raised.value, ValueError) and raised.value.exit_status == 2
 
 
 def test_cost_design_orders_columns():
@@ -303,6 +321,34 @@ def test_km_equals_the_unique_reference_at_scale(seed, n, distinct_times, censor
     assert surv.values.tobytes() == values.tobytes()
 
 
+def _assert_valid_step_survival(surv):
+    """The conditions a StepSurvival needs, which it does not check itself."""
+    times, values = surv.jump_times, surv.values
+    assert times.dtype == values.dtype == np.float64
+    assert times.ndim == 1 and times.shape == values.shape
+    assert np.all(times[1:] > times[:-1])
+    assert np.all((values >= 0.0) & (values <= 1.0))
+    assert np.all(values[1:] <= values[:-1])
+    assert not times.flags.writeable and not values.flags.writeable
+
+
+@given(_FOLLOW_UP)
+def test_km_output_is_a_valid_step_survival(follow_up):
+    # Few distinct times: censored and uncensored records tie at one time,
+    # and the last time may hold censorings only.
+    _assert_valid_step_survival(km_censoring_survival([float(t) for t, _ in follow_up],
+                                                      [u for _, u in follow_up]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(**_AT_SCALE)
+def test_km_output_is_a_valid_step_survival_at_scale(seed, n, distinct_times, censor_prob,
+                                                     censored_tail):
+    times, uncensored, _ = _follow_up_at_scale(seed, n, distinct_times, censor_prob,
+                                               censored_tail)
+    _assert_valid_step_survival(km_censoring_survival(times, uncensored))
+
+
 @settings(max_examples=60, deadline=None)
 @given(stratify=st.booleans(), **_AT_SCALE)
 def test_ipw_weights_equal_the_unsorted_lookup(seed, n, distinct_times, censor_prob,
@@ -313,6 +359,6 @@ def test_ipw_weights_equal_the_unsorted_lookup(seed, n, distinct_times, censor_p
     for mask in ((arm == 0, arm == 1) if stratify else (np.ones(n, dtype=bool),)):
         if mask.any():
             t, u = times[mask], uncensored[mask]
-            want[mask] = _weights_from_survival(t, u, km_censoring_survival(t, u))
+            want[mask] = weights_from_survival(t, u, km_censoring_survival(t, u))
     got = ipw_weights(_dataset(times, uncensored, treatment=arm), stratify_by_arm=stratify)
     assert got.tobytes() == want.tobytes()

@@ -647,6 +647,49 @@ def test_diagnose_near_the_float_range_fails_with_one_error_line(tmp_path):
     assert result.stderr.count("\n") == 1
 
 
+_DATA_CONFIGS = {
+    "adjust": "[confounder]\nfamily = bernoulli\nprevalence = 0.7/0.5\neffect = 1.25\n",
+    "sweep": "[sweep]\nfamily = bernoulli\n[grid]\nprevalence = 0.7/0.5\neffect = 1.25\n",
+}
+
+
+def _data_argv(tmp_path, command, data):
+    """``fit`` on ``data``, or ``adjust``/``sweep`` fitting their apparent effect from it."""
+    if command == "fit":
+        return ["fit", "--input", str(data)]
+    config = tmp_path / f"{command}.ini"
+    config.write_text(_DATA_CONFIGS[command])
+    return [command, "--input", str(config), "--data", str(data)]
+
+
+@pytest.mark.parametrize("command", ["fit", "adjust"])
+def test_shifting_costs_past_the_float_range_is_a_usage_error(tmp_path, capsys, command):
+    # Half the smallest positive cost, added to the largest, overflows; numpy's
+    # overflow warning would fail this test, as RuntimeWarnings are errors here.
+    data = tmp_path / "huge_costs.csv"
+    data.write_text("cost,time,event,treat\n1.5e308,1,1,0\n1.7e308,2,1,1\n1.3e308,3,1,0\n")
+    status, out, err = _run(capsys, *_data_argv(tmp_path, command, data), "--shift-zero-costs")
+    assert (status, out) == (2, "")
+    assert err == "error: invalid-data: shifting every cost by 6.5e+307 overflows a float\n"
+
+
+@pytest.mark.parametrize("command", ["adjust", "sweep"])
+@pytest.mark.parametrize("variance, rows, shown", [
+    # Equal costs fit exactly: every residual, and so the sandwich, is 0.
+    ("sandwich", "1,1,1,0\n1,2,1,1\n1,3,1,0\n1,4,1,1\n", "0"),
+    # As many records as coefficients leave no degrees of freedom for the dispersion.
+    ("model", "1,1,1,0\n2,1,1,1\n", "nan"),
+])
+def test_an_apparent_effect_without_a_positive_variance_is_an_estimation_error(
+        tmp_path, capsys, command, variance, rows, shown):
+    data = tmp_path / "degenerate.csv"
+    data.write_text("cost,time,event,treat\n" + rows)
+    status, out, err = _run(capsys, *_data_argv(tmp_path, command, data), "--variance", variance)
+    assert (status, out) == (1, "")
+    assert err == (f"error: estimation-failure: the fit gives the treatment coefficient a "
+                   f"variance of {shown}; the apparent effect needs a positive one\n")
+
+
 @pytest.mark.parametrize("command, config, status", [
     ("sweep", "[apparent]\nbeta_star = 0.5\nse = 0.5\n[sweep]\nfamily = poisson\n"
               "[grid]\nrate = 0.5\nlog_effect = 710, 0.5\n", 0),
@@ -678,7 +721,7 @@ def _role_csvs(draw):
     names = draw(st.permutations(["cost", "time", "event", "treat"]
                                  + [f"z{j}" for j in range(draw(st.integers(0, 3)))]))
     cells = {
-        "cost": st.floats(0.0, 1e6),
+        "cost": st.floats(0.0, sys.float_info.max),
         "time": st.floats(0.0, 1e6, exclude_min=True),
         "event": st.sampled_from(["0", "1"]),
         "treat": st.sampled_from(["0", "1"]),

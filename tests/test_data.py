@@ -9,6 +9,7 @@ from costsense import (
     CostDataset,
     EmptyDatasetError,
     InputNotFoundError,
+    InvalidDataError,
     NoPositiveCostError,
     ParseError,
     SchemaError,
@@ -105,6 +106,30 @@ def test_empty_dataset_rejected():
             covariates=np.zeros((0, 0)),
             covariate_names=(),
         )
+
+
+def _columns(**changes):
+    columns = dict(cost=np.array([1.0, 2.0]), time=np.array([1.0, 3.0]),
+                   uncensored=np.array([True, False]), treatment=np.array([0, 1]),
+                   covariates=np.zeros((2, 2)), covariate_names=("z1", "z2"))
+    return {**columns, **changes}
+
+
+@pytest.mark.parametrize("changes, match", [
+    (dict(time=np.array([1.0])), "share one length"),
+    (dict(covariate_names=("z1",)), "covariate_names must match"),
+    (dict(cost=np.array([1.0, np.inf])), "costs must be finite and nonnegative"),
+    (dict(time=np.array([1.0, -0.0])), "follow-up times must be finite and positive"),
+    (dict(treatment=np.array([0.0, np.nan])), "treatment must be coded 0/1"),
+    (dict(uncensored=np.array([1, 2])), "uncensored must be coded 0/1"),
+    (dict(covariates=np.array([[0.0, 0.0], [np.nan, 0.0]])), "covariates must be finite"),
+    (dict(covariate_names=("z1", "z1")), "covariate names must be unique"),
+], ids=["length", "names", "cost", "time", "treatment", "uncensored", "covariates", "unique"])
+def test_each_dataset_check_raises_the_typed_invalid_data_error(changes, match):
+    with pytest.raises(InvalidDataError, match=match) as raised:
+        CostDataset(**_columns(**changes))
+    assert isinstance(raised.value, ValueError)
+    assert (raised.value.code, raised.value.exit_status) == ("invalid-data", 2)
 
 
 def _write(path, text):

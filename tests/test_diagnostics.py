@@ -13,12 +13,10 @@ from scipy.stats import rankdata
 from costsense import (
     CostDataset,
     EmptyFitError,
-    Family,
     SchemaError,
     SeparationError,
     WITHIN_STRATUM_THRESHOLD,
     correlation_report,
-    irls_fit,
     loo_correlation_report,
 )
 from costsense.diagnostics import (
@@ -29,7 +27,7 @@ from costsense.diagnostics import (
     _largest,
 )
 from costsense import glm
-from costsense.glm import DesignSpec
+from costsense.glm import Family, irls_fit
 
 
 def _dataset(treatment, covariates, names=None):
@@ -57,8 +55,8 @@ def _logistic_design(seed, n, slopes, intercept=0.0):
 
 def _logit_scores(ds):
     design = np.column_stack([np.ones(len(ds)), ds.covariates])
-    fit = irls_fit(DesignSpec(response=ds.treatment, design=design, weights=np.ones(len(ds)),
-                              family=Family.LOGIT_BINOMIAL))
+    fit = irls_fit(ds.treatment.astype(np.float64), design, np.ones(len(ds)),
+                   Family.LOGIT_BINOMIAL)
     return expit(design @ fit.coefficients)
 
 

@@ -10,29 +10,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import special
 
-from costsense import EmptyFitError, Family, SingularDesignError, glm, irls_fit
+from costsense import EmptyFitError, SingularDesignError, glm
 from costsense.glm import (
-    DesignSpec,
+    Family,
     _family_terms,
     _xlogy,
     expit,
+    irls_fit,
     sandwich_covariance,
 )
 
 
-def _spec(y, X, w=None, family=Family.LOG_GAMMA):
+def _problem(y, X, w=None, family=Family.LOG_GAMMA):
+    """The arguments of ``irls_fit``: float64 arrays, unit weights by default."""
     y = np.asarray(y, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
     if w is None:
         w = np.ones(len(y))
-    return DesignSpec(response=y, design=X, weights=np.asarray(w, dtype=np.float64), family=family)
+    return y, np.asarray(X, dtype=np.float64), np.asarray(w, dtype=np.float64), family
 
 
 def test_noiseless_log_linear_data_recovered_exactly():
     x = np.array([0.0, 0.0, 1.0, 1.0])
     X = np.column_stack([np.ones(4), x])
     y = np.exp(1.0 + 2.0 * x)
-    fit = irls_fit(_spec(y, X))
+    fit = irls_fit(*_problem(y, X))
     assert fit.converged
     np.testing.assert_allclose(fit.coefficients, [1.0, 2.0], atol=1e-8)
 
@@ -42,14 +43,14 @@ def test_intercept_only_gamma_fit_is_log_mean():
     # zeros included.
     y = np.array([0.0, 1.0, 2.0, 5.0])
     X = np.ones((4, 1))
-    fit = irls_fit(_spec(y, X))
+    fit = irls_fit(*_problem(y, X))
     assert fit.coefficients[0] == pytest.approx(math.log(2.0), abs=1e-10)
 
 
 def test_logit_intercept_only_is_logit_of_mean():
     y = np.array([1.0, 1.0, 1.0, 0.0])
     X = np.ones((4, 1))
-    fit = irls_fit(_spec(y, X, family=Family.LOGIT_BINOMIAL))
+    fit = irls_fit(*_problem(y, X, family=Family.LOGIT_BINOMIAL))
     assert fit.coefficients[0] == pytest.approx(math.log(3.0), abs=1e-8)
 
 
@@ -57,7 +58,7 @@ def test_logit_saturated_two_group_fit():
     x = np.repeat([0.0, 1.0], 4)
     y = np.array([1, 0, 0, 0, 1, 1, 1, 0], dtype=np.float64)
     X = np.column_stack([np.ones(8), x])
-    fit = irls_fit(_spec(y, X, family=Family.LOGIT_BINOMIAL))
+    fit = irls_fit(*_problem(y, X, family=Family.LOGIT_BINOMIAL))
     # Group means 1/4 and 3/4, so the fit is available in closed form.
     np.testing.assert_allclose(
         fit.coefficients, [math.log(1.0 / 3.0), math.log(9.0)], atol=1e-7
@@ -72,7 +73,7 @@ def test_seeded_draw_recovers_generator_within_three_se():
     mean = np.exp(5.0 + 1.0 * x + 1.0 * z)
     y = rng.gamma(shape=mean, scale=1.0)
     X = np.column_stack([np.ones(n), x, z])
-    fit = irls_fit(_spec(y, X))
+    fit = irls_fit(*_problem(y, X))
     assert fit.converged
     se = np.sqrt(np.diag(fit.covariance))
     for est, truth, err in zip(fit.coefficients, (5.0, 1.0, 1.0), se):
@@ -88,8 +89,7 @@ def test_sandwich_close_to_model_covariance_when_variance_is_quadratic():
     mu = np.exp(5.0 + x + z)
     y = rng.gamma(shape=2.0, scale=mu / 2.0)
     X = np.column_stack([np.ones(n), x, z])
-    spec = _spec(y, X)
-    fit = irls_fit(spec)
+    fit = irls_fit(*_problem(y, X))
     ratio = np.diag(fit.covariance) / np.diag(fit.model_covariance)
     assert np.all(ratio > 0.8)
     assert np.all(ratio < 1.25)
@@ -115,10 +115,8 @@ def test_doubling_weights_changes_neither_estimate_nor_sandwich():
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     y = rng.gamma(2.0, np.exp(X @ [1.0, 0.5]) / 2.0)
     w = rng.uniform(0.5, 2.0, size=n)
-    base = _spec(y, X, w)
-    doubled = _spec(y, X, 2.0 * w)
-    fit_a = irls_fit(base)
-    fit_b = irls_fit(doubled)
+    fit_a = irls_fit(*_problem(y, X, w))
+    fit_b = irls_fit(*_problem(y, X, 2.0 * w))
     np.testing.assert_array_equal(fit_a.coefficients, fit_b.coefficients)
     np.testing.assert_allclose(fit_a.covariance, fit_b.covariance, rtol=1e-12)
 
@@ -130,8 +128,8 @@ def test_row_permutation_is_bit_identical():
     y = rng.gamma(2.0, np.exp(X @ [2.0, 0.3, 0.5]) / 2.0)
     w = rng.uniform(0.5, 2.0, size=n)
     perm = rng.permutation(n)
-    fit_a = irls_fit(_spec(y, X, w))
-    fit_b = irls_fit(_spec(y[perm], X[perm], w[perm]))
+    fit_a = irls_fit(*_problem(y, X, w))
+    fit_b = irls_fit(*_problem(y[perm], X[perm], w[perm]))
     np.testing.assert_array_equal(fit_a.coefficients, fit_b.coefficients)
     np.testing.assert_array_equal(fit_a.covariance, fit_b.covariance)
     np.testing.assert_array_equal(fit_a.model_covariance, fit_b.model_covariance)
@@ -154,22 +152,22 @@ def test_row_permutation_is_bit_identical_for_weighted_designs(seed, n, p, famil
         y = (rng.random(n) < expit(eta)).astype(np.float64)
     perm = rng.permutation(n)
     try:
-        fit_a = irls_fit(_spec(y, X, w, family=family))
+        fit_a = irls_fit(*_problem(y, X, w, family=family))
     except SingularDesignError:
         with pytest.raises(SingularDesignError):
-            irls_fit(_spec(y[perm], X[perm], w[perm], family=family))
+            irls_fit(*_problem(y[perm], X[perm], w[perm], family=family))
         return
-    fit_b = irls_fit(_spec(y[perm], X[perm], w[perm], family=family))
+    fit_b = irls_fit(*_problem(y[perm], X[perm], w[perm], family=family))
     np.testing.assert_array_equal(fit_a.coefficients, fit_b.coefficients)
     np.testing.assert_array_equal(fit_a.covariance, fit_b.covariance)
     np.testing.assert_array_equal(fit_a.model_covariance, fit_b.model_covariance)
     assert (fit_a.converged, fit_a.iterations) == (fit_b.converged, fit_b.iterations)
 
 
-def _lexsorted_rows(spec):
-    keys = [spec.weights] + [spec.design[:, j] for j in range(spec.design.shape[1] - 1, -1, -1)]
-    order = np.lexsort(tuple(keys + [spec.response]))
-    return spec.response[order], spec.design[order], spec.weights[order]
+def _lexsorted_rows(y, X, w):
+    keys = [w] + [X[:, j] for j in range(X.shape[1] - 1, -1, -1)]
+    order = np.lexsort(tuple(keys + [y]))
+    return y[order], X[order], w[order]
 
 
 @settings(max_examples=200, deadline=None)
@@ -187,8 +185,8 @@ def test_canonical_rows_equal_the_full_lexsort(seed, n, responses):
         y = rng.choice([-0.0, 0.0, 1.0], n)
     X = np.column_stack([np.ones(n), rng.integers(0, 2, n), rng.choice([-0.0, 0.0, 0.5], n)])
     w = rng.choice([0.0, 1.0, 2.5], n)
-    spec = _spec(y, X, w)
-    for got, want in zip(glm._canonical_rows(spec), _lexsorted_rows(spec)):
+    rows = _problem(y, X, w)[:3]
+    for got, want in zip(glm._canonical_rows(*rows), _lexsorted_rows(*rows)):
         assert got.tobytes() == want.tobytes()
 
 
@@ -205,15 +203,15 @@ def test_fit_sorts_its_rows_once(monkeypatch):
     calls = []
     original = glm._canonical_rows
 
-    def counting_canonical_rows(spec):
-        calls.append(spec)
-        return original(spec)
+    def counting_canonical_rows(*rows):
+        calls.append(rows)
+        return original(*rows)
 
     monkeypatch.setattr(glm, "_canonical_rows", counting_canonical_rows)
     rng = np.random.default_rng(8)
     X = np.column_stack([np.ones(200), rng.normal(size=200)])
     y = rng.gamma(2.0, np.exp(X @ [1.0, 0.5]) / 2.0)
-    fit = irls_fit(_spec(y, X))
+    fit = irls_fit(*_problem(y, X))
     assert fit.converged
     assert np.isfinite(fit.covariance).all() and np.isfinite(fit.model_covariance).all()
     assert len(calls) == 1
@@ -332,7 +330,7 @@ def test_newton_evaluates_each_trial_point_once(monkeypatch):
     rng = np.random.default_rng(12)
     X = np.column_stack([np.ones(300), rng.normal(size=300)])
     y = rng.gamma(2.0, np.exp(X @ [1.0, 0.3]) / 2.0)
-    fit = irls_fit(_spec(y, X))
+    fit = irls_fit(*_problem(y, X))
     # The start, then one full Newton step per iteration, none halved.
     assert fit.converged
     assert len(calls) == 1 + fit.iterations
@@ -348,8 +346,8 @@ def test_scaling_response_shifts_intercept_by_log_factor():
     n = 400
     X = np.column_stack([np.ones(n), rng.normal(size=n)])
     y = rng.gamma(2.0, np.exp(X @ [1.0, 0.4]) / 2.0)
-    fit = irls_fit(_spec(y, X))
-    scaled = irls_fit(_spec(1000.0 * y, X))
+    fit = irls_fit(*_problem(y, X))
+    scaled = irls_fit(*_problem(1000.0 * y, X))
     assert scaled.coefficients[0] - fit.coefficients[0] == pytest.approx(
         math.log(1000.0), abs=1e-8
     )
@@ -361,7 +359,7 @@ def test_unconverged_fit_reports_nan_covariance(monkeypatch):
     X = np.column_stack([np.ones(4), x])
     y = np.exp(1.0 + 2.0 * x) + np.array([0.1, -0.1, 0.2, -0.2])
     monkeypatch.setattr(glm, "_MAX_ITERATIONS", 1)
-    fit = irls_fit(_spec(y, X))
+    fit = irls_fit(*_problem(y, X))
     assert not fit.converged
     assert np.isnan(fit.covariance).all()
     assert np.isnan(np.sqrt(np.diag(fit.covariance))).all()
@@ -372,12 +370,12 @@ def test_zero_weight_record_saturated_against_its_outcome_changes_no_logit_fit()
     x = rng.normal(size=60)
     y = (rng.random(60) < expit(0.3 + 0.8 * x)).astype(np.float64)
     X = np.column_stack([np.ones(60), x])
-    fit = irls_fit(_spec(y, X, family=Family.LOGIT_BINOMIAL))
+    fit = irls_fit(*_problem(y, X, family=Family.LOGIT_BINOMIAL))
     # At x = 500 the fitted probability rounds to 1, against the outcome 0.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        padded = irls_fit(_spec(np.append(y, 0.0), np.vstack([X, [1.0, 500.0]]),
-                                np.append(np.ones(60), 0.0), family=Family.LOGIT_BINOMIAL))
+        padded = irls_fit(*_problem(np.append(y, 0.0), np.vstack([X, [1.0, 500.0]]),
+                                   np.append(np.ones(60), 0.0), family=Family.LOGIT_BINOMIAL))
     assert fit.converged and padded.converged
     np.testing.assert_allclose(padded.coefficients, fit.coefficients, rtol=0, atol=1e-12)
 
@@ -387,7 +385,7 @@ def test_duplicate_column_raises_singular_design():
     X = np.column_stack([np.ones(4), x, x])
     y = np.exp(1.0 + x)
     with pytest.raises(SingularDesignError):
-        irls_fit(_spec(y, X))
+        irls_fit(*_problem(y, X))
 
 
 def test_rank_deficiency_after_weighting_raises():
@@ -396,41 +394,17 @@ def test_rank_deficiency_after_weighting_raises():
     y = np.array([1.0, 2.0, 3.0, 4.0])
     w = np.array([1.0, 1.0, 1.0, 0.0])
     with pytest.raises(SingularDesignError):
-        irls_fit(_spec(y, X, w))
+        irls_fit(*_problem(y, X, w))
 
 
 def test_all_zero_weights_raise_empty_fit():
     with pytest.raises(EmptyFitError, match="weights"):
-        irls_fit(_spec([1.0, 2.0], np.ones((2, 1)), [0.0, 0.0]))
+        irls_fit(*_problem([1.0, 2.0], np.ones((2, 1)), [0.0, 0.0]))
 
 
 def test_identically_zero_response_raises_empty_fit():
     with pytest.raises(EmptyFitError):
-        irls_fit(_spec([0.0, 0.0, 0.0], np.ones((3, 1))))
-
-
-def test_design_spec_validation():
-    with pytest.raises(ValueError):
-        DesignSpec(
-            response=np.array([1.0, 2.0]),
-            design=np.ones((3, 1)),
-            weights=np.ones(2),
-            family=Family.LOG_GAMMA,
-        )
-    with pytest.raises(ValueError):
-        DesignSpec(
-            response=np.array([1.0, -2.0]),
-            design=np.ones((2, 1)),
-            weights=np.ones(2),
-            family=Family.LOG_GAMMA,
-        )
-    with pytest.raises(ValueError):
-        DesignSpec(
-            response=np.array([1.0, 1.0]),
-            design=np.ones((2, 1)),
-            weights=np.array([1.0, -1.0]),
-            family=Family.LOG_GAMMA,
-        )
+        irls_fit(*_problem([0.0, 0.0, 0.0], np.ones((3, 1))))
 
 
 @given(st.lists(st.floats(-800.0, 800.0), min_size=1, max_size=50))

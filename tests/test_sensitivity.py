@@ -106,6 +106,23 @@ def test_params_reject_nan(make, match):
         make()
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: NormalParams(mean=math.inf), "mean"),
+    (lambda: NormalParams(mean=-math.inf), "mean"),
+    (lambda: NormalParams(mean=0.0, sd=math.inf), "sd"),
+    (lambda: PoissonParams(rate=math.inf), "rate"),
+    (lambda: GammaParams(shape=math.inf, scale=1.0), "shape"),
+    (lambda: GammaParams(shape=1.0, scale=math.inf), "scale"),
+    (lambda: gamma_arms_from_mean_ratio(math.inf, 1.0), "shape"),
+    (lambda: gamma_arms_from_mean_ratio(1.0, math.inf), "scale"),
+], ids=["normal mean", "normal mean -inf", "normal sd", "poisson rate", "gamma shape",
+        "gamma scale", "mean ratio", "variance-to-mean ratio"])
+def test_params_reject_inf(make, match):
+    # An infinite parameter would surface later as a log-MGF "overflow".
+    with pytest.raises(ValueError, match=match):
+        make()
+
+
 def test_family_from_string():
     assert ConfounderFamily.from_string("Gamma") is ConfounderFamily.GAMMA
     assert ConfounderFamily.from_string(" normal ") is ConfounderFamily.NORMAL
