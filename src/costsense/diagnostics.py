@@ -9,6 +9,10 @@ covariate shows only weak within-arm correlation with the others'
 combined effect, positing the same for the unmeasured one is easier to
 defend. Corrections stay reliable while within-stratum correlations
 remain under about 0.15.
+
+The leave-one-out fits run as one stacked Newton iteration on the records
+sorted once (:func:`costsense.glm.logit_leave_one_out`), and the
+correlations are read in that order.
 """
 
 from __future__ import annotations
@@ -18,19 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CostDataset
-from .errors import EmptyFitError, SchemaError, SeparationError
-from .glm import logit_scores
+from .errors import EmptyFitError, SchemaError, SeparationError, SingularDesignError
+from .glm import RANK_DEFICIENT, expit, logit_leave_one_out
 
 WITHIN_STRATUM_THRESHOLD = 0.15
-
-
-def _fit_propensity(response: np.ndarray, covariates: np.ndarray, names,
-                    order: np.ndarray) -> np.ndarray:
-    """Fitted treatment probabilities from a logit model on ``covariates``,
-    visiting the rows in ``order``."""
-    scores, coefficients, _ = logit_scores(response, covariates, order)
-    _raise_on_separation(response, scores, coefficients, covariates, names)
-    return scores
 
 
 def _raise_on_separation(response, scores, coefficients, covariates, names) -> None:
@@ -141,7 +136,12 @@ def loo_correlation_report(dataset: CostDataset, covariate: str,
 
 
 def correlation_report(dataset: CostDataset, method: str = "pearson") -> list[CorrelationReport]:
-    """One leave-one-out report per covariate, in covariate order."""
+    """One leave-one-out report per covariate, in covariate order.
+
+    A fit that stops unconverged is reported from its last iterate, silently:
+    under quasi-separation, such as a binary covariate that is 1 only among
+    the treated, every fit keeping it stops that way on a singular solve.
+    """
     return _reports(dataset, dataset.covariate_names, method)
 
 
@@ -157,31 +157,37 @@ def _reports(dataset: CostDataset, covariates_wanted, method: str) -> list[Corre
     for covariate in covariates_wanted:
         if covariate not in names:
             raise KeyError(f"no covariate named {covariate!r}")
-    treated = dataset.treatment == 1.0
+    # The order of the whole table depends only on its multiset of rows, so
+    # permuting the records changes no bit of a report.
+    order = np.lexsort((*dataset.covariates.T[::-1], dataset.treatment))
+    covariates = dataset.covariates[order]
+    response = dataset.treatment[order].astype(np.float64)
+    treated = response == 1.0
     if treated.all() or not treated.any():
         raise EmptyFitError("propensity fit needs records in both treatment arms")
     if len(names) < 2:
         raise SchemaError("leave-one-out correlations need at least 2 covariates")
-    covariates = dataset.covariates
-    # The order of the whole table depends only on its multiset of rows, so
-    # each leave-one-out fit may visit its rows in it. The intercept and the
-    # unit weights of a fit's canonical sort are constant keys and add nothing.
-    order = np.lexsort((*covariates.T[::-1], dataset.treatment))
+    design = np.column_stack([np.ones(len(response)), covariates])
+    wanted = [names.index(covariate) for covariate in covariates_wanted]
+    coefficients, _, _, singular = logit_leave_one_out(
+        response, design, [index + 1 for index in wanted])
+    scores = expit(coefficients @ design.T)
     pairwise_treated = _correlations(covariates[treated].T, method)
     pairwise_control = _correlations(covariates[~treated].T, method)
 
     reports = []
-    for covariate in covariates_wanted:
-        index = names.index(covariate)
+    for problem, (index, score) in enumerate(zip(wanted, scores)):
+        if singular[problem]:
+            raise SingularDesignError(RANK_DEFICIENT)
         keep = [j for j in range(len(names)) if j != index]
+        _raise_on_separation(response, score, np.delete(coefficients[problem], index + 1),
+                             covariates[:, keep], [names[j] for j in keep])
         column = covariates[:, index]
-        scores = _fit_propensity(dataset.treatment, covariates[:, keep],
-                                 [names[j] for j in keep], order)
         reports.append(CorrelationReport(
-            covariate=covariate,
-            corr_unconditional=_corr(column, scores, method),
-            corr_treated=_corr(column[treated], scores[treated], method),
-            corr_control=_corr(column[~treated], scores[~treated], method),
+            covariate=names[index],
+            corr_unconditional=_corr(column, score, method),
+            corr_treated=_corr(column[treated], score[treated], method),
+            corr_control=_corr(column[~treated], score[~treated], method),
             largest_individual_corr_treated=_largest(pairwise_treated[index, keep]),
             largest_individual_corr_control=_largest(pairwise_control[index, keep]),
         ))

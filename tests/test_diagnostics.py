@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import math
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import rankdata
@@ -15,9 +19,11 @@ from costsense import (
     EmptyFitError,
     SchemaError,
     SeparationError,
+    SingularDesignError,
     WITHIN_STRATUM_THRESHOLD,
     correlation_report,
     loo_correlation_report,
+    save_dataset,
 )
 from costsense.diagnostics import (
     CorrelationReport,
@@ -25,9 +31,11 @@ from costsense.diagnostics import (
     _corr,
     _correlations,
     _largest,
+    _raise_on_separation,
 )
 from costsense import glm
-from costsense.glm import Family, irls_fit
+from costsense.cli import main
+from costsense.glm import Family, irls_fit, logit_leave_one_out, logit_scores
 
 
 def _dataset(treatment, covariates, names=None):
@@ -207,6 +215,187 @@ def test_leave_one_out_fits_compute_no_covariance(monkeypatch):
     monkeypatch.setattr(glm, "model_covariance", refuse)
     ds, _, _ = _logistic_design(10, 600, [0.3, -0.2, 0.1])
     assert [r.covariate for r in correlation_report(ds)] == ["z1", "z2", "z3"]
+
+
+def _canonical(ds):
+    """Treatment and covariates of ``ds`` in the order ``correlation_report`` visits them."""
+    order = np.lexsort((*ds.covariates.T[::-1], ds.treatment))
+    return ds.treatment[order].astype(np.float64), ds.covariates[order]
+
+
+def _stacked(ds):
+    """``correlation_report``'s stacked leave-one-out fits of ``ds``."""
+    response, covariates = _canonical(ds)
+    design = np.column_stack([np.ones(len(response)), covariates])
+    return logit_leave_one_out(response, design, range(1, covariates.shape[1] + 1))
+
+
+def _stand_alone(response, covariates):
+    """The fit :func:`logit_scores` makes, with its iteration count."""
+    n = len(response)
+    rows = glm._canonical_rows(np.asarray(response, dtype=np.float64),
+                               np.column_stack([np.ones(n), covariates]), np.ones(n))
+    coefficients, converged, iterations, _ = glm._newton(Family.LOGIT_BINOMIAL, *rows)
+    np.testing.assert_array_equal(coefficients, logit_scores(response, covariates)[1])
+    return coefficients, converged, iterations
+
+
+@st.composite
+def _propensity_problems(draw):
+    """Small two-armed datasets: normal or tied integer covariates, one of
+    which may be replaced by a dependent column, by the treatment itself, or
+    by a binary column that is 1 only among some of the treated."""
+    n = draw(st.integers(6, 30))
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    treated = draw(st.integers(1, n - 1))
+    x = rng.permutation(np.arange(n) < treated).astype(np.int64)
+    if draw(st.booleans()):
+        distinct = rng.integers(-2, 3, size=(draw(st.integers(2, n)), k)).astype(np.float64)
+        z = distinct[rng.integers(0, len(distinct), size=n)]
+    else:
+        z = rng.normal(size=(n, k))
+    column = draw(st.integers(0, k - 1))
+    special = draw(st.sampled_from(["none", "dependent", "treatment", "quasi"]))
+    if special == "dependent":
+        # With three or more columns, leaving out any of the three involved
+        # restores full rank.
+        z[:, column] = 2.0 * z[:, (column + 1) % k] - 1.0
+        if k > 2:
+            z[:, column] += z[:, (column + 2) % k]
+    elif special == "treatment":
+        z[:, column] = x
+    elif special == "quasi":
+        z[:, column] = (x == 1) & (rng.uniform(size=n) < 0.5)
+    return _dataset(x, z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(ds=_propensity_problems())
+def test_stacked_fits_equal_stand_alone_fits(ds):
+    coefficients, converged, iterations, singular = _stacked(ds)
+    response = ds.treatment.astype(np.float64)
+    names = list(ds.covariate_names)
+    # The first error in covariate order, and the problem that raised it.
+    first_error, first = None, None
+    for j in range(len(names)):
+        keep = [i for i in range(len(names)) if i != j]
+        try:
+            coef, conv, its = _stand_alone(ds.treatment, ds.covariates[:, keep])
+        except SingularDesignError as error:
+            assert singular[j]
+            if first_error is None:
+                first_error, first = error, j
+            continue
+        assert not singular[j]
+        design = np.column_stack([np.ones(len(ds)), ds.covariates[:, keep]])
+        # Without a finite maximum likelihood estimate (separation) the
+        # iteration diverges, and rounding decides where it stops, whether a
+        # step first falls under the tolerance, and which direction is
+        # strongest when several separate: over 200 row orders, _newton alone
+        # stopped one six-record separated problem anywhere from 40 to 68
+        # iterations, and called a quasi-separated one converged in 18 of them.
+        # A fit that converges with every linear predictor within 20 of 0 has
+        # an estimate, and there the two must agree.
+        if conv and np.abs(design @ coef).max() <= 20.0:
+            assert converged[j] and its == iterations[j]
+            stacked = np.delete(coefficients[j], j + 1)
+            assert np.all(np.abs(stacked - coef) <= 1e-10 * np.maximum(1.0, np.abs(coef)))
+        if first_error is None:
+            try:
+                _raise_on_separation(response, expit(design @ coef), coef,
+                                     ds.covariates[:, keep], [names[i] for i in keep])
+            except SeparationError as error:
+                first_error, first = error, j
+    if first_error is None:
+        assert [r.covariate for r in correlation_report(ds)] == names
+        return
+    with pytest.raises(type(first_error)) as raised:
+        correlation_report(ds)
+    if isinstance(first_error, SingularDesignError):
+        assert str(raised.value) == str(first_error)
+    else:
+        # The same problem separates, and the direction named is one it kept.
+        sorted_response, covariates = _canonical(ds)
+        design = np.column_stack([np.ones(len(ds)), covariates])
+        scores = expit(coefficients @ design.T)
+        treated = sorted_response == 1.0
+        split = (scores[:, treated].min(axis=1) > 1.0 - 1e-6) & (scores[:, ~treated].max(axis=1) < 1e-6)
+        assert split[first] and not split[:first].any()
+        prefix = "treatment arms are perfectly separated; strongest direction is "
+        assert str(raised.value).startswith(prefix)
+        assert str(raised.value).split("'")[1] in names[:first] + names[first + 1:]
+
+
+def test_dependent_column_leaves_the_other_problems_fitted():
+    # z3 = z1 + z2: the full design is rank deficient, but leaving out any of
+    # the three restores full rank; leaving out z4 does not.
+    rng = np.random.default_rng(11)
+    z = rng.normal(size=(80, 4))
+    z[:, 2] = z[:, 0] + z[:, 1]
+    x = (rng.uniform(size=80) < expit(0.5 * z[:, 0])).astype(np.int64)
+    ds = _dataset(x, z)
+    _, converged, _, singular = _stacked(ds)
+    assert singular.tolist() == [False, False, False, True]
+    assert converged[:3].all()
+    with pytest.raises(SingularDesignError, match="rank deficient"):
+        correlation_report(ds)
+    assert loo_correlation_report(ds, "z1").covariate == "z1"
+
+
+def test_quasi_separated_fits_report_their_last_iterate():
+    # A binary covariate that is 1 only among some of the treated drives every
+    # fit that keeps it towards infinity; each stops, unconverged, on a
+    # singular solve once its treated probabilities round to 1. The reports
+    # still come from those last iterates, and no error is raised.
+    rng = np.random.default_rng(12)
+    n = 300
+    z = rng.normal(size=(n, 3))
+    x = (rng.uniform(size=n) < expit(0.5 * z[:, 0])).astype(np.int64)
+    only_treated = (x == 1) & (rng.uniform(size=n) < 0.3)
+    ds = _dataset(x, np.column_stack([z, only_treated]))
+    coefficients, converged, iterations, singular = _stacked(ds)
+    assert converged.tolist() == [False, False, False, True]
+    assert not singular.any() and (iterations[:3] > 30).all()
+    reports = correlation_report(ds)
+    assert [r.covariate for r in reports] == ["z1", "z2", "z3", "z4"]
+    response, covariates = _canonical(ds)
+    design = np.column_stack([np.ones(n), covariates])
+    scores = expit(coefficients @ design.T)
+    for j, report in enumerate(reports[:3]):
+        assert report.corr_unconditional == pytest.approx(
+            float(np.corrcoef(covariates[:, j], scores[j])[0, 1]), abs=1e-12)
+
+
+@st.composite
+def _shuffled_cohorts(draw):
+    n = draw(st.integers(8, 60))
+    k = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    z = rng.normal(size=(n, k))
+    if draw(st.booleans()):
+        z = np.round(z)
+    x = (rng.uniform(size=n) < expit(0.4 * z[:, 0])).astype(np.int64)
+    x[:2] = [0, 1]
+    return _dataset(x, z), rng.permutation(n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=_shuffled_cohorts())
+def test_diagnose_output_is_invariant_to_row_order(case):
+    ds, permutation = case
+    shuffled = _dataset(ds.treatment[permutation], ds.covariates[permutation])
+    outputs = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in (("rows.csv", ds), ("shuffled.csv", shuffled)):
+            path = Path(tmp) / name
+            save_dataset(path, data)
+            for flags in ([], ["--spearman"]):
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    status = main(["diagnose", "--input", str(path), "--format", "csv", *flags])
+                outputs.append((status, out.getvalue(), err.getvalue()))
+    assert outputs[:2] == outputs[2:]
 
 
 def test_flagged_threshold_boundary():

@@ -341,6 +341,42 @@ def test_newton_evaluates_each_trial_point_once(monkeypatch):
     assert len(calls) == 1 + iterations
 
 
+def test_exhausted_halvings_take_the_last_halving_in_the_stack_as_in_newton(monkeypatch):
+    # Every trial point of the first iteration reads as a worse deviance until
+    # the ten halvings run out; the last halving is then taken unchecked, and
+    # the fit goes on to converge from there. The stacked iteration, on the
+    # same rows, must take the same path.
+    rng = np.random.default_rng(13)
+    design = np.column_stack([np.ones(200), rng.normal(size=(200, 3))])
+    y = (rng.random(200) < expit(design @ [0.2, 0.8, -0.5, 0.3])).astype(np.float64)
+
+    def worse_at_first(evaluate, worse):
+        calls = []
+
+        def patched(*args):
+            calls.append(None)
+            value = evaluate(*args)
+            # Call 1 is the start; calls 2-12 the full step and its ten halvings.
+            return worse(value) if 2 <= len(calls) <= 12 else value
+
+        return patched, calls
+
+    deviance, newton_calls = worse_at_first(glm._deviance, lambda value: 1e300)
+    monkeypatch.setattr(glm, "_deviance", deviance)
+    kept = np.ascontiguousarray(design[:, [0, 1, 2]])
+    coefficients, converged, iterations, _ = glm._newton(Family.LOGIT_BINOMIAL, y, kept,
+                                                         np.ones(200))
+    trials, stack_calls = worse_at_first(
+        glm._logit_trials, lambda value: (*value[:3], np.full_like(value[3], 1e300)))
+    monkeypatch.setattr(glm, "_logit_trials", trials)
+    stacked, stacked_converged, stacked_iterations, _ = glm.logit_leave_one_out(y, design, [3])
+    assert converged and stacked_converged[0]
+    assert len(newton_calls) == len(stack_calls) == 1 + 12 + iterations - 1
+    assert stacked_iterations[0] == iterations
+    np.testing.assert_allclose(stacked[0, :3], coefficients, rtol=1e-10, atol=1e-10)
+    assert stacked[0, 3] == 0.0
+
+
 def test_scaling_response_shifts_intercept_by_log_factor():
     rng = np.random.default_rng(23)
     n = 400
