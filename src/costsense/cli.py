@@ -15,6 +15,7 @@ import io
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import astuple, fields, replace
 from functools import partial
 from pathlib import Path
@@ -25,7 +26,7 @@ from .censoring import cost_design, fit_censored_cost, fit_cost
 from .config import load_adjust_config, load_scenarios, load_sweep_config
 from .data import load_dataset, save_dataset, zero_cost_shift
 from .diagnostics import WITHIN_STRATUM_THRESHOLD, correlation_report
-from .errors import ConfigError, CostSenseError, DidNotConvergeError, EstimationError
+from .errors import ConfigError, CostSenseError, DidNotConvergeError, EstimationError, UsageError
 from .sensitivity import CONFIDENCE_LEVEL, ApparentEffect, exp_ratio, sweep, z_quantile
 from .simulation import (
     ReplicationRecord,
@@ -76,10 +77,19 @@ def _f3(value: float) -> str:
     return "nan" if math.isnan(value) else f"{value:.3f}"
 
 
+@contextmanager
+def _writing(path):
+    try:
+        yield
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror}") from None
+
+
 def _emit(args, header, rows, human: str) -> None:
     text = _csv_text(header, rows)
     if args.output:
-        Path(args.output).write_text(text, encoding="utf-8")
+        with _writing(args.output):
+            Path(args.output).write_text(text, encoding="utf-8")
     if args.format == "csv":
         sys.stdout.write(text)
     else:
@@ -273,9 +283,10 @@ def cmd_simulate(args) -> int:
         replication_rows.extend([named.name, *astuple(record)] for record in records)
 
     if args.rep_output:
-        Path(args.rep_output).write_text(
-            _csv_text(_REPLICATION_COLUMNS, replication_rows), encoding="utf-8"
-        )
+        with _writing(args.rep_output):
+            Path(args.rep_output).write_text(
+                _csv_text(_REPLICATION_COLUMNS, replication_rows), encoding="utf-8"
+            )
     human = _render_table(
         ["scenario", "kind", "mean unadj", "mean adj", "bias unadj",
          "bias adj", "cover unadj", "cover adj", "failures"],
@@ -325,7 +336,8 @@ def cmd_synth(args) -> int:
     if args.seed < 0:
         raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     dataset = synthetic_cohort(args.seed)
-    save_dataset(args.output, dataset)
+    with _writing(args.output):
+        save_dataset(args.output, dataset)
     treated = float(np.mean(dataset.treatment == 1.0))
     print(
         f"wrote {len(dataset)} records to {args.output} "

@@ -1,13 +1,13 @@
 """Plain-text run configuration for sweeps, adjustments, and simulations.
 
-Files use INI syntax. A sweep file holds an ``[apparent]`` section (the
-fitted effect, either as a ratio with its interval or as ``beta_star``
-plus ``se``), a ``[sweep]`` section naming the confounder family, and one
-or more ``[grid*]`` sections. Grid values are comma-separated lists; a
-value applies to both arms unless written as ``control/treated``. Each
-section expands to the Cartesian product of its lists with the first
-listed parameter varying fastest, and sections contribute rows in file
-order.
+Files use INI syntax, decoded as UTF-8 with an optional byte-order mark.
+A sweep file holds an ``[apparent]`` section (the fitted effect, either as
+a ratio with its interval or as ``beta_star`` plus ``se``), a ``[sweep]``
+section naming the confounder family, and one or more ``[grid*]``
+sections. Grid values are comma-separated lists; a value applies to both
+arms unless written as ``control/treated``. Each section expands to the
+Cartesian product of its lists with the first listed parameter varying
+fastest, and sections contribute rows in file order.
 
 A scenario file holds ``[scenario NAME]`` sections, each with a ``kind``
 of ``ci``, ``cd``, or ``propensity`` plus that kind's parameters. Each
@@ -65,9 +65,11 @@ class SweepConfig:
 
 def _read_ini(path) -> configparser.ConfigParser:
     try:
-        text = Path(path).read_text()
-    except FileNotFoundError:
-        raise InputNotFoundError(f"no such file: {path}") from None
+        text = Path(path).read_text(encoding="utf-8-sig")
+    except OSError as err:
+        raise InputNotFoundError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
     parser = configparser.ConfigParser(interpolation=None)
     try:
         parser.read_string(text, source=str(path))

@@ -4,12 +4,18 @@ The on-disk format is a plain CSV whose header row names the columns.
 Four of them are required, in any order: ``cost``, ``time``, ``event``
 (1 where the cost was fully observed, 0 where follow-up was censored) and
 ``treat``. Every other column is a numeric covariate.
+
+Files are UTF-8, with an optional byte-order mark. Plain files, as
+:func:`save_dataset` writes them, go to numpy's fast C reader; quoted cells,
+lone carriage returns, rows of another width and what that reader rejects go
+to :mod:`csv`, which alone accepts all that ``float`` does and names a bad cell.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -132,64 +138,93 @@ def _parse_indicator(token: str, row: int, column: str) -> None:
         )
 
 
-def _resolve_header(header: list[str]):
-    """Positions of the role columns; every other column is a covariate."""
+def _resolve_header(cells: list[str]):
+    """Positions of cost, time, event and treat, then of the covariates, and their names."""
+    header = [cell.strip() for cell in cells]
     for j, name in enumerate(header):
         if name in header[:j]:
             raise SchemaError(f"column '{name}' appears more than once in the header")
-    positions = {}
     for role in ROLE_NAMES:
         if role not in header:
             raise SchemaError(f"required column '{role}' not found in header")
-        positions[role] = header.index(role)
-    cov_idx = [i for i in range(len(header)) if i not in positions.values()]
-    return positions, cov_idx, [header[i] for i in cov_idx]
+    roles = [header.index(role) for role in ROLE_NAMES]
+    cov_idx = [i for i in range(len(header)) if i not in roles]
+    return roles + cov_idx, [header[i] for i in cov_idx]
 
 
 def load_dataset(path) -> CostDataset:
     """Read a cost CSV into a :class:`CostDataset`.
 
-    The first row names the columns; ``cost``, ``time``, ``event`` and
-    ``treat`` may come in any order, and every other column is a numeric
-    covariate, in file order. Blank rows are skipped.
+    The file is UTF-8, with an optional byte-order mark as Excel writes. The
+    first row names the columns; ``cost``, ``time``, ``event`` and ``treat``
+    may come in any order, and every other column is a numeric covariate, in
+    file order. Blank rows are skipped.
 
-    The needed columns are converted a whole column at a time with
-    ``float`` and checked as arrays by :class:`CostDataset`. Only when that
-    finds a problem are the rows walked one at a time, to name the first bad
-    cell in the error.
+    Plain text is parsed by numpy's C reader (:func:`_plain_columns`). Other
+    text, or text that reader or :class:`CostDataset` rejects, is split by
+    :mod:`csv`, its columns converted whole with ``float`` and checked; only
+    when that fails are the rows walked, to name the first bad cell.
 
     Raises
     ------
+    InputNotFoundError
+        The file cannot be read.
     SchemaError
         A required column is missing, or the header names a column twice;
         the message names the column.
     ParseError
-        A cell cannot be interpreted, naming the 1-based data row.
+        A cell cannot be parsed, naming its 1-based data row, or the file is not UTF-8.
     EmptyDatasetError
         The file holds no data rows.
     """
     try:
-        handle = open(path, newline="", encoding="utf-8")
-    except FileNotFoundError:
-        raise InputNotFoundError(f"input file not found: {path}") from None
-    with handle:
-        rows = [row for row in csv.reader(handle) if any(cell.strip() for cell in row)]
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except OSError as err:
+        raise InputNotFoundError(f"cannot read {path}: {err.strerror}") from None
+    except UnicodeDecodeError as err:
+        raise ParseError(f"{path} is not UTF-8 text: {err.reason} at byte {err.start}") from None
+    plain = _plain_columns(text)
+    if plain is not None:
+        with contextlib.suppress(InvalidDataError):
+            return _dataset(*plain)
+    rows = [row for row in csv.reader(io.StringIO(text, newline=""))
+            if any(cell.strip() for cell in row)]
     if len(rows) < 2:
         raise EmptyDatasetError(f"no data rows in {path}")
     data_rows, width = rows[1:], len(rows[0])
-    positions, cov_idx, cov_names = _resolve_header([cell.strip() for cell in rows[0]])
-    values = _parse_columns(data_rows, width, [positions[role] for role in ROLE_NAMES] + cov_idx)
+    columns, cov_names = _resolve_header(rows[0])
+    values = _parse_columns(data_rows, width, columns)
     if values is not None:
         with contextlib.suppress(InvalidDataError):
-            return CostDataset(
-                cost=values[0],
-                time=values[1],
-                uncensored=values[2],
-                treatment=values[3],
-                covariates=values[4:].T.copy(),
-                covariate_names=tuple(cov_names),
-            )
-    _raise_first_bad_cell(data_rows, width, positions, cov_idx, cov_names)
+            return _dataset(values, cov_names)
+    _raise_first_bad_cell(data_rows, width, columns, cov_names)
+
+
+def _dataset(values: np.ndarray, cov_names) -> CostDataset:
+    return CostDataset(*values[:4], covariates=values[4:].T.copy(), covariate_names=cov_names)
+
+
+def _plain_columns(text: str) -> tuple[np.ndarray, list[str]] | None:
+    """:func:`_parse_columns`' array and the covariate names, or None.
+
+    Plain text has no ``"``, no lone carriage return, a nonblank header line,
+    a data row and rows as wide as the header. numpy parses cells with the C
+    call ``float`` uses; it rejects ``,,,`` rows, ``1_000`` and non-ASCII digits.
+    """
+    lines = text.split("\n")
+    cells = lines[0].split(",")
+    if ('"' in text or "\r" in text and text.count("\r") != text.count("\r\n")
+            or not "".join(cells).strip() or not any(line.strip("\r") for line in lines[1:])):
+        return None
+    try:
+        table = np.loadtxt(lines[1:], delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    if table.shape[1] != len(cells):
+        return None
+    columns, cov_names = _resolve_header(cells)
+    return table.T[columns], cov_names
 
 
 def _parse_columns(rows, width: int, columns: list[int]) -> np.ndarray | None:
@@ -197,36 +232,37 @@ def _parse_columns(rows, width: int, columns: list[int]) -> np.ndarray | None:
 
     ``columns`` lists cost, time, event and treat, then the covariates. The
     result is None when a row is shorter than ``width`` or a cell is not a
-    number; the value rules are :class:`CostDataset`'s.
+    number; cells are stripped, and the value rules are :class:`CostDataset`'s.
     """
     if min(map(len, rows)) < width:
         return None
-    transposed = list(zip(*rows))
+    cells = list(zip(*rows))
     try:
-        return np.array([np.fromiter(map(float, transposed[j]), np.float64, len(rows))
+        return np.array([np.fromiter(map(float, map(str.strip, cells[j])), np.float64, len(rows))
                          for j in columns])
     except ValueError:
         return None
 
 
-def _raise_first_bad_cell(rows, width: int, positions: dict, cov_idx, cov_names) -> None:
+def _raise_first_bad_cell(rows, width: int, columns: list[int], cov_names) -> None:
     """Raise the :class:`ParseError` that names the first bad cell in row order.
 
     Called once :func:`_parse_columns` or :class:`CostDataset` has rejected
     the rows. It checks the same cells by the same rules, one row at a time,
     so it always finds one.
     """
+    cost, time, event, treat, *cov_idx = columns
     for i, row in enumerate(rows, start=1):
         if len(row) < width:
             raise ParseError(
                 f"row {i}: expected at least {width} columns, got {len(row)}", row=i
             )
-        if _parse_number(row[positions["cost"]], i, "cost") < 0:
+        if _parse_number(row[cost], i, "cost") < 0:
             raise ParseError(f"row {i}: column 'cost' must be nonnegative", row=i)
-        if _parse_number(row[positions["time"]], i, "time") <= 0:
+        if _parse_number(row[time], i, "time") <= 0:
             raise ParseError(f"row {i}: column 'time' must be positive", row=i)
-        _parse_indicator(row[positions["event"]], i, "event")
-        _parse_indicator(row[positions["treat"]], i, "treat")
+        _parse_indicator(row[event], i, "event")
+        _parse_indicator(row[treat], i, "treat")
         for m, j in enumerate(cov_idx):
             _parse_number(row[j], i, cov_names[m])
 

@@ -914,3 +914,90 @@ def test_simulate_never_escapes_with_an_exception(text):
         assert err.getvalue() == "", text
     else:
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1, text
+
+
+# Every file flag, given a directory, a path under a missing directory, or a file
+# that is not UTF-8 (byte 0xff). {csv}, {adjust}, {sweep} and {scenarios} are
+# readable inputs; {dir} is a directory and {nodir} a path under a missing one.
+_DATA_ADJUST_INI = "[confounder]\nfamily = normal\nmean = 0/1\nsd = 1\neffect = 1.2\n"
+_DATA_SWEEP_INI = "[sweep]\nfamily = bernoulli\n\n[grid]\nprevalence = 0.7/0.5\neffect = 1.1\n"
+_FILE_FLAG_CASES = {
+    "fit-input-dir": ("fit --input {dir}", "input-not-found"),
+    "fit-input-0xff": ("fit --input {bad_csv}", "parse-error"),
+    "fit-output-dir": ("fit --input {csv} --output {dir}", "usage-error"),
+    "fit-output-nodir": ("fit --input {csv} --output {nodir}", "usage-error"),
+    "adjust-input-dir": ("adjust --input {dir}", "input-not-found"),
+    "adjust-input-0xff": ("adjust --input {bad_ini}", "config-error"),
+    "adjust-data-dir": ("adjust --input {data_adjust} --data {dir}", "input-not-found"),
+    "adjust-data-0xff": ("adjust --input {data_adjust} --data {bad_csv}", "parse-error"),
+    "adjust-output-dir": ("adjust --input {adjust} --output {dir}", "usage-error"),
+    "sweep-input-dir": ("sweep --input {dir}", "input-not-found"),
+    "sweep-input-0xff": ("sweep --input {bad_ini}", "config-error"),
+    "sweep-data-dir": ("sweep --input {data_sweep} --data {dir}", "input-not-found"),
+    "sweep-data-0xff": ("sweep --input {data_sweep} --data {bad_csv}", "parse-error"),
+    "sweep-output-nodir": ("sweep --input {sweep} --output {nodir}", "usage-error"),
+    "simulate-input-dir": ("simulate --input {dir} --seed 1", "input-not-found"),
+    "simulate-input-0xff": ("simulate --input {bad_ini} --seed 1", "config-error"),
+    "simulate-output-dir": ("simulate --input {scenarios} --seed 1 --reps 1 --output {dir}",
+                            "usage-error"),
+    "simulate-rep-output-nodir": (
+        "simulate --input {scenarios} --seed 1 --reps 1 --rep-output {nodir}", "usage-error"),
+    "diagnose-input-dir": ("diagnose --input {dir}", "input-not-found"),
+    "diagnose-input-0xff": ("diagnose --input {bad_csv}", "parse-error"),
+    "diagnose-output-nodir": ("diagnose --input {csv} --output {nodir}", "usage-error"),
+    "synth-output-dir": ("synth --output {dir} --seed 1", "usage-error"),
+    "synth-output-nodir": ("synth --output {nodir} --seed 1", "usage-error"),
+}
+
+
+def _file_flag_paths(tmp_path):
+    paths = {"csv": _two_covariate_csv(tmp_path), "dir": tmp_path / "a_directory.csv",
+             "nodir": tmp_path / "missing" / "out.csv",
+             "bad_csv": tmp_path / "bad.csv", "bad_ini": tmp_path / "bad.ini"}
+    paths["dir"].mkdir()
+    paths["bad_csv"].write_bytes(b"cost,time,event,treat\n1,1,1,\xff0\n")
+    paths["bad_ini"].write_bytes(b"[sweep]\n# \xff\nfamily = bernoulli\n")
+    for name, text in (("adjust", ADJUST_INI), ("sweep", SWEEP_INI),
+                       ("scenarios", SCENARIO_INI), ("data_adjust", _DATA_ADJUST_INI),
+                       ("data_sweep", _DATA_SWEEP_INI)):
+        paths[name] = tmp_path / f"{name}.ini"
+        paths[name].write_text(text, encoding="utf-8")
+    return paths
+
+
+@pytest.mark.parametrize("argv, code", _FILE_FLAG_CASES.values(), ids=_FILE_FLAG_CASES.keys())
+def test_each_file_flag_that_cannot_be_read_or_written_fails_with_one_error_line(
+        tmp_path, capsys, argv, code):
+    paths = _file_flag_paths(tmp_path)
+    status, _, err = _run(capsys, *argv.format(**paths).split())
+    assert status == 2
+    assert err.startswith(f"error: {code}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, suffix", [
+    ("fit", ".csv"), ("diagnose", ".csv"), ("adjust", ".ini"), ("sweep", ".ini"),
+])
+def test_inputs_with_a_utf8_byte_order_mark_read_as_without_one(tmp_path, capsys, command,
+                                                                 suffix):
+    plain = _two_covariate_csv(tmp_path) if suffix == ".csv" else tmp_path / "plain.ini"
+    if suffix == ".ini":
+        plain.write_text(ADJUST_INI if command == "adjust" else SWEEP_INI, encoding="utf-8")
+    marked = tmp_path / f"marked{suffix}"
+    marked.write_text("\ufeff" + plain.read_text(encoding="utf-8"), encoding="utf-8")
+    first, second = (_run(capsys, command, "--input", str(path), "--format", "csv")
+                     for path in (plain, marked))
+    assert first[0] == 0 and first[2] == ""
+    assert second == first
+
+
+def test_an_ini_comment_in_utf8_reads_under_an_ascii_locale(tmp_path):
+    config = tmp_path / "adjust.ini"
+    config.write_bytes(("# prévalence per arm\n" + ADJUST_INI).encode("utf-8"))
+    env = {**os.environ, "LC_ALL": "C", "PYTHONUTF8": "0",
+           "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    result = subprocess.run([sys.executable, "-m", "costsense", "adjust", "--input", str(config),
+                             "--format", "csv"], capture_output=True, text=True, env=env,
+                            check=False)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert _rows(result.stdout)[0]["prevalence_control"] == "0.7"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -17,7 +19,7 @@ from costsense import (
     save_dataset,
     zero_cost_shift,
 )
-from helpers import tiny_dataset
+from helpers import random_cost_dataset, tiny_dataset
 
 
 def test_dataset_basic_accessors():
@@ -435,3 +437,142 @@ def test_exact_codes_keep_their_dtypes():
                      covariate_names=("z1",))
     assert ds.treatment.dtype == np.int64 and ds.treatment.tolist() == [1, 0, 1]
     assert ds.uncensored.dtype == bool and ds.uncensored.tolist() == [True, False, True]
+
+
+# The same oracle against files that only the csv route can read, and plain ones
+# numpy's C reader takes: three line ends, blank rows ("", whitespace, ",,,") before
+# the header and among and after the data, rows with extra trailing cells (some
+# holding NUL bytes), a quoted header cell or data cell, a byte-order mark, and
+# cells padded with whitespace that ``str.strip`` removes; ``float`` alone keeps
+# the separators U+001C-U+001F.
+_PADDING = ["\x1c", "\x1f", "\x1d", "\x0b", "\x85", "\u3000"]
+
+
+@st.composite
+def _dressed_file(draw, table):
+    """The text of a CSV holding ``table``, and the rows after the header that
+    ``csv.reader`` reads from it, blank ones included. Empty lines, CRLF line
+    ends and a byte-order mark keep a file plain; the other dressings do not."""
+    header, rows = table
+    kinds = draw(st.sets(st.sampled_from(["blank", "extra", "pad", "quote", "_"]), max_size=3))
+    # numpy reads no digit separators, so a file that keeps them is not plain.
+    rows = [[cell if "_" in kinds else cell.replace("_", "") for cell in row] for row in rows]
+    blank = st.sampled_from([[], [], ["  "], ["\t"], [""] * len(header), [" ", "\x0c"]]
+                            if "blank" in kinds else [[]])
+    if "extra" in kinds:
+        for row in draw(st.lists(st.sampled_from(rows), min_size=1, max_size=2, unique_by=id)):
+            row.extend(draw(st.sampled_from([["9"], ["x", "\x00"], ["\x00"]])))
+    cells = [(row, j) for row in rows for j in range(len(row))]
+    if "pad" in kinds:
+        for row, j in draw(st.lists(st.sampled_from(cells), min_size=1, max_size=2)):
+            pad = draw(st.sampled_from(_PADDING))
+            row[j] = draw(st.sampled_from([pad + row[j], row[j] + pad]))
+    body = []
+    for row in rows:
+        body += draw(st.lists(blank, max_size=1)) + [row]
+    body += draw(st.lists(blank, max_size=2))
+    lines = draw(st.lists(blank, max_size=2)) + [header] + body
+    quoted = draw(st.sampled_from([(header, 0)] + cells)) if "quote" in kinds else None
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = draw(st.sampled_from(["", "\ufeff"]))
+    text = "".join(",".join(f'"{cell}"' if (line, j) == quoted else cell
+                            for j, cell in enumerate(line)) + end
+                   for line in lines)
+    return bom + text, body
+
+
+def _assert_same_read_only_bits(dataset, expected):
+    _assert_same_bits(dataset, expected)
+    for array in (dataset.cost, dataset.time, dataset.uncensored, dataset.treatment,
+                  dataset.covariates):
+        assert array.flags.c_contiguous and not array.flags.writeable
+
+
+def _assert_loads_as_the_reference_reads(path, header, rows):
+    try:
+        expected = _row_by_row_reference(header, rows)
+    except EmptyDatasetError:
+        with pytest.raises(EmptyDatasetError):
+            load_dataset(path)
+    except ParseError as error:
+        with pytest.raises(ParseError) as raised:
+            load_dataset(path)
+        assert (str(raised.value), raised.value.row) == (str(error), error.row)
+    else:
+        dataset = load_dataset(path)
+        _assert_same_read_only_bits(dataset, expected)
+        assert dataset.covariate_names == tuple(name for name in header if name.startswith("z"))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(st.data())
+def test_every_route_equals_per_cell_float_on_dressed_files(tmp_path, data):
+    header, rows = data.draw(_valid_table())
+    text, body = data.draw(_dressed_file((header, rows)))
+    path = tmp_path / "dressed.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_loads_as_the_reference_reads(path, header, body)
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture], deadline=None)
+@given(st.data())
+def test_every_route_names_the_cell_the_row_reader_named_on_dressed_files(tmp_path, data):
+    header, rows = data.draw(_corrupted_table())
+    text, body = data.draw(_dressed_file((header, rows)))
+    path = tmp_path / "dressed.csv"
+    path.write_bytes(text.encode("utf-8"))
+    _assert_loads_as_the_reference_reads(path, header, body)
+
+
+@pytest.mark.parametrize("prefix", ["", "\ufeff"], ids=["plain", "bom"])
+@pytest.mark.parametrize("end", ["\r\n", "\n"], ids=["crlf", "lf"])
+def test_a_saved_dataset_is_read_without_the_csv_module(tmp_path, monkeypatch, prefix, end):
+    dataset = random_cost_dataset(3, n=120, censored=True)
+    path = tmp_path / "saved.csv"
+    save_dataset(path, dataset)
+    path.write_bytes((prefix + path.read_text(encoding="utf-8").replace("\r\n", end))
+                     .encode("utf-8"))
+
+    def no_csv_reader(*args, **kwargs):
+        raise AssertionError("a plain file went through csv.reader")
+
+    monkeypatch.setattr(csv, "reader", no_csv_reader)
+    back = load_dataset(path)
+    expected = (dataset.cost, dataset.time, dataset.uncensored, dataset.treatment,
+                dataset.covariates)
+    _assert_same_read_only_bits(back, expected)
+    assert back.covariate_names == dataset.covariate_names
+
+
+# Files that each plain-text rule sends to the csv route: numpy would read each
+# one differently, or not at all.
+_CSV_ROUTE_FILES = {
+    "quoted-header": ('cost,time,event,"treat"\n1,2,1,0\n', [[1.0, 2.0, 1, 0]]),
+    "lone-cr-in-header": ("cost,time,event,treat\r1,2,1,0\n3,4,0,1,5,5,5\n",
+                          [[1.0, 2.0, 1, 0], [3.0, 4.0, 0, 1]]),
+    "padded-quoted-cell": ('cost,time,event,treat\n"\x1c1",2,1,0\n', [[1.0, 2.0, 1, 0]]),
+    "blank-first-line": (",,,\n1,2,1,0\n", EmptyDatasetError),
+    "header-only-and-empty-lines": ("cost,time,event,treat\r\n\r\n\r\n", EmptyDatasetError),
+    "rows-narrower-than-header": ("cost,time,event,treat,z1\n1,2,1,0\n",
+                                  "row 1: expected at least 5 columns, got 4"),
+}
+
+
+@pytest.mark.parametrize("text, expected", _CSV_ROUTE_FILES.values(),
+                         ids=_CSV_ROUTE_FILES.keys())
+def test_files_that_are_not_plain_load_as_the_csv_route_reads_them(tmp_path, text, expected):
+    path = tmp_path / "route.csv"
+    path.write_bytes(text.encode("utf-8"))
+    if expected is EmptyDatasetError:
+        with pytest.raises(EmptyDatasetError):
+            load_dataset(path)
+    elif isinstance(expected, str):
+        with pytest.raises(ParseError, match=expected):
+            load_dataset(path)
+    else:
+        dataset = load_dataset(path)
+        columns = np.array(expected).T
+        assert dataset.cost.tolist() == columns[0].tolist()
+        assert dataset.time.tolist() == columns[1].tolist()
+        assert dataset.uncensored.tolist() == (columns[2] == 1).tolist()
+        assert dataset.treatment.tolist() == columns[3].astype(int).tolist()
