@@ -15,7 +15,7 @@ import io
 import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import astuple, fields, replace
 from functools import partial
 from pathlib import Path
@@ -239,14 +239,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _scenario_records(scenario, replications: int, workers: int, variance: str,
+def _scenario_records(pool, scenario, replications: int, workers: int, variance: str,
                       level: float):
     worker = partial(run_replication, scenario, variance=variance, level=level)
-    if workers <= 1:
+    if pool is None:
         return list(map(worker, range(replications)))
     chunk = max(1, replications // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(worker, range(replications), chunksize=chunk))
+    return list(pool.map(worker, range(replications), chunksize=chunk))
 
 
 # CSV columns follow the result dataclasses' fields, in declaration order.
@@ -263,24 +262,30 @@ def cmd_simulate(args) -> int:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     level = _effective_level(args)
     scenarios = load_scenarios(args.input, seed=args.seed)
+    # An unwritable output fails here, not after the study; "a" keeps the content.
+    for path in filter(None, (args.rep_output, args.output)):
+        with _writing(path):
+            open(path, "a", encoding="utf-8").close()
 
     summary_rows = []
     human_rows = []
     replication_rows = []
-    for named in scenarios:
-        scenario = named.scenario
-        records = _scenario_records(scenario, args.reps, args.workers, args.variance,
-                                    level)
-        result = aggregate(scenario, records)
-        summary_rows.append([named.name, scenario.kind, scenario.n, *astuple(result)])
-        human_rows.append([
-            named.name, scenario.kind,
-            _f3(result.mean_beta_unadjusted), _f3(result.mean_beta_adjusted),
-            _f3(result.bias_unadjusted), _f3(result.bias_adjusted),
-            _f3(result.coverage_unadjusted), _f3(result.coverage_adjusted),
-            str(result.convergence_failures),
-        ])
-        replication_rows.extend([named.name, *astuple(record)] for record in records)
+    with (ProcessPoolExecutor(max_workers=args.workers) if args.workers > 1
+          else nullcontext()) as pool:
+        for named in scenarios:
+            scenario = named.scenario
+            records = _scenario_records(pool, scenario, args.reps, args.workers,
+                                        args.variance, level)
+            result = aggregate(scenario, records)
+            summary_rows.append([named.name, scenario.kind, scenario.n, *astuple(result)])
+            human_rows.append([
+                named.name, scenario.kind,
+                _f3(result.mean_beta_unadjusted), _f3(result.mean_beta_adjusted),
+                _f3(result.bias_unadjusted), _f3(result.bias_adjusted),
+                _f3(result.coverage_unadjusted), _f3(result.coverage_adjusted),
+                str(result.convergence_failures),
+            ])
+            replication_rows.extend([named.name, *astuple(record)] for record in records)
 
     if args.rep_output:
         with _writing(args.rep_output):

@@ -22,6 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from costsense import CostDataset, cost_design, fit_cost, load_dataset, save_dataset
+from costsense import cli
 from costsense.cli import main
 from helpers import random_cost_dataset
 
@@ -309,6 +310,31 @@ def test_simulate_workers_leave_results_unchanged(tmp_path, capsys):
         assert serial == pooled, kind
         assert rep_one.read_text() == rep_three.read_text(), kind
         assert len(_rows(rep_one.read_text())) == 6, kind
+
+
+@pytest.mark.parametrize("flag", ["--output", "--rep-output"])
+@pytest.mark.parametrize("where", ["nodir", "dir"])
+def test_simulate_fails_on_an_unwritable_output_before_any_replication(
+        tmp_path, capsys, monkeypatch, flag, where):
+    calls = []
+    original = cli.run_replication
+
+    def counting_replication(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_replication", counting_replication)
+    path = tmp_path / "scenarios.ini"
+    path.write_text(SCENARIO_INI)
+    target = tmp_path / "missing" / "out.csv" if where == "nodir" else tmp_path
+    reason = "No such file or directory" if where == "nodir" else "Is a directory"
+    base = ("simulate", "--input", str(path), "--seed", "1", "--reps", "2")
+    status, _, err = _run(capsys, *base, flag, str(target))
+    assert (status, err) == (2, f"error: usage-error: cannot write {target}: {reason}\n")
+    assert calls == []
+    # The same study with a writable path runs every replication.
+    assert _run(capsys, *base, flag, str(tmp_path / "out.csv"))[0] == 0
+    assert len(calls) == 2
 
 
 def test_simulate_rejects_small_propensity_n_before_running(tmp_path, capsys):

@@ -235,7 +235,7 @@ def _stand_alone(response, covariates):
     n = len(response)
     rows = glm._canonical_rows(np.asarray(response, dtype=np.float64),
                                np.column_stack([np.ones(n), covariates]), np.ones(n))
-    coefficients, converged, iterations, _ = glm._newton(Family.LOGIT_BINOMIAL, *rows)
+    coefficients, converged, iterations = glm._newton(Family.LOGIT_BINOMIAL, *rows)[:3]
     np.testing.assert_array_equal(coefficients, logit_scores(response, covariates)[1])
     return coefficients, converged, iterations
 

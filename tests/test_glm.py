@@ -13,7 +13,6 @@ from scipy import special
 from costsense import EmptyFitError, SingularDesignError, glm
 from costsense.glm import (
     Family,
-    _family_terms,
     _xlogy,
     expit,
     irls_fit,
@@ -102,7 +101,7 @@ def test_meat_of_replicated_record_is_n_single_outer_products():
     w = np.full(reps, 1.5)
     b = np.array([0.4, 0.2])
     # With an identity bread the sandwich is the meat itself.
-    _, resid, _ = _family_terms(Family.LOG_GAMMA, X @ b, y)
+    resid = y / np.exp(X @ b) - 1.0
     meat = sandwich_covariance(np.eye(2), X * (w * resid)[:, None])
     mu = math.exp(0.4 + 0.2 * 0.7)
     single = 1.5 * (3.0 / mu - 1.0) * np.array([1.0, 0.7])
@@ -217,12 +216,23 @@ def test_fit_sorts_its_rows_once(monkeypatch):
     assert len(calls) == 1
 
 
+def _reference_terms(family, eta, y, w):
+    """Score residual, information weight and deviance at ``eta``, in textbook
+    form: the Gamma deviance takes ``log(mu)``, the logit one sums ``w log L``
+    over the positively weighted records."""
+    if family is Family.LOG_GAMMA:
+        mu = np.exp(eta)
+        return y / mu - 1.0, np.ones_like(mu), 2.0 * float(np.sum(w * (y / mu + np.log(mu))))
+    mu = 1.0 / (1.0 + np.exp(-eta))
+    ll = np.where(y == 1.0, np.log(mu), np.log(1.0 - mu))
+    return y - mu, mu * (1.0 - mu), -2.0 * float(np.sum(np.where(w > 0, w * ll, 0.0)))
+
+
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")
 def _reference_newton(family, y, X, w):
     """The Newton loop as it stood before each trial point was evaluated once:
     it rebuilds the bread at every iteration and evaluates the accepted step
-    a second time after the halving loop."""
-    _family_terms, _deviance = glm._family_terms, glm._deviance
+    a second time after the halving loop. Its family terms are its own."""
     pos = w > 0
     n_eff = int(np.count_nonzero(pos))
     p = X.shape[1]
@@ -239,8 +249,7 @@ def _reference_newton(family, y, X, w):
             return b, False, 0, n_eff
         b[0] = np.log(mean_y)
     eta = X @ b
-    mu, resid, info = _family_terms(family, eta, y)
-    dev = _deviance(family, y, mu, w)
+    resid, info, dev = _reference_terms(family, eta, y, w)
     iterations = 0
     for iterations in range(1, glm._MAX_ITERATIONS + 1):
         score = X.T @ (w * resid)
@@ -253,8 +262,7 @@ def _reference_newton(family, y, X, w):
         for _ in range(glm._MAX_HALVINGS + 1):
             eta_new = X @ b_new
             if np.all(np.isfinite(b_new)) and np.max(np.abs(eta_new)) <= glm._ETA_MAX:
-                mu_new, _, _ = _family_terms(family, eta_new, y)
-                dev_new = _deviance(family, y, mu_new, w)
+                dev_new = _reference_terms(family, eta_new, y, w)[2]
                 if np.isfinite(dev_new) and dev_new <= dev + 1e-10 * (1.0 + abs(dev)):
                     break
             step = step / 2.0
@@ -265,8 +273,7 @@ def _reference_newton(family, y, X, w):
         rel_change = float(np.max(np.abs(b_new - b) / np.maximum(1.0, np.abs(b_new))))
         b = b_new
         eta = eta_new
-        mu, resid, info = _family_terms(family, eta, y)
-        dev = _deviance(family, y, mu, w)
+        resid, info, dev = _reference_terms(family, eta, y, w)
         if not np.isfinite(dev):
             return b, False, iterations, n_eff
         if rel_change <= glm._TOLERANCE:
@@ -304,7 +311,9 @@ def _newton_problem(seed, n, p, family, shape):
        halvings=st.sampled_from([0, 1, 10]))
 def test_newton_equals_the_reference_loop(seed, n, p, family, shape, halvings):
     # With 0 or 1 halvings allowed, a step that raises the deviance soon runs
-    # out of halvings and takes the path that evaluates the last one.
+    # out of halvings and takes the path that evaluates the last one. The
+    # Gamma trial's deviance adds eta where the reference adds log(exp(eta));
+    # that rounding difference must move no step's acceptance.
     y, X, w = _newton_problem(seed, n, p, family, shape)
     with mock.patch.object(glm, "_MAX_HALVINGS", halvings):
         try:
@@ -315,28 +324,30 @@ def test_newton_equals_the_reference_loop(seed, n, p, family, shape, halvings):
             return
         got = glm._newton(family, y, X, w)
     assert got[0].tobytes() == want[0].tobytes()
-    assert got[1:] == want[1:]
+    assert got[1:4] == want[1:]
 
 
 def test_newton_evaluates_each_trial_point_once(monkeypatch):
     calls = []
-    original = glm._deviance
+    original = glm._trial
 
-    def counting_deviance(*args):
+    def counting_trial(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(glm, "_deviance", counting_deviance)
+    monkeypatch.setattr(glm, "_trial", counting_trial)
     rng = np.random.default_rng(12)
     X = np.column_stack([np.ones(300), rng.normal(size=300)])
     y = rng.gamma(2.0, np.exp(X @ [1.0, 0.3]) / 2.0)
     fit = irls_fit(*_problem(y, X))
-    # The start, then one full Newton step per iteration, none halved.
+    # The start, then one full Newton step per iteration, none halved; the
+    # covariances are read off the last of them, so _finish evaluates none.
     assert fit.converged
+    assert np.isfinite(fit.covariance).all() and np.isfinite(fit.model_covariance).all()
     assert len(calls) == 1 + fit.iterations
     calls.clear()
     response = (rng.random(300) < expit(X @ [0.2, 0.5])).astype(np.float64)
-    _, converged, iterations, _ = glm._newton(Family.LOGIT_BINOMIAL, response, X, np.ones(300))
+    _, converged, iterations = glm._newton(Family.LOGIT_BINOMIAL, response, X, np.ones(300))[:3]
     assert converged
     assert len(calls) == 1 + iterations
 
@@ -361,11 +372,11 @@ def test_exhausted_halvings_take_the_last_halving_in_the_stack_as_in_newton(monk
 
         return patched, calls
 
-    deviance, newton_calls = worse_at_first(glm._deviance, lambda value: 1e300)
-    monkeypatch.setattr(glm, "_deviance", deviance)
+    trial, newton_calls = worse_at_first(glm._trial, lambda value: (*value[:2], 1e300))
+    monkeypatch.setattr(glm, "_trial", trial)
     kept = np.ascontiguousarray(design[:, [0, 1, 2]])
-    coefficients, converged, iterations, _ = glm._newton(Family.LOGIT_BINOMIAL, y, kept,
-                                                         np.ones(200))
+    coefficients, converged, iterations = glm._newton(Family.LOGIT_BINOMIAL, y, kept,
+                                                      np.ones(200))[:3]
     trials, stack_calls = worse_at_first(
         glm._logit_trials, lambda value: (*value[:3], np.full_like(value[3], 1e300)))
     monkeypatch.setattr(glm, "_logit_trials", trials)
@@ -375,6 +386,40 @@ def test_exhausted_halvings_take_the_last_halving_in_the_stack_as_in_newton(monk
     assert stacked_iterations[0] == iterations
     np.testing.assert_allclose(stacked[0, :3], coefficients, rtol=1e-10, atol=1e-10)
     assert stacked[0, 3] == 0.0
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _covariances_from_scratch(family, y, X, w, b, n_eff):
+    """Both covariances at ``b`` on canonical rows, with the residuals,
+    information weights and bread rebuilt from ``b`` and the rows weighted
+    as ``X * w[:, None]``."""
+    resid, info, _ = _reference_terms(family, X @ b, y, w)
+    bread = (X * (w * info)[:, None]).T @ X
+    return (sandwich_covariance(bread, X * (w * resid)[:, None]),
+            glm.model_covariance(bread, family, w, resid, n_eff))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 80), p=st.integers(1, 4),
+       family=st.sampled_from(list(Family)),
+       shape=st.sampled_from(["plain", "zero weights", "outlier", "separated"]))
+def test_covariances_from_the_converged_state_equal_a_rebuild_from_scratch(
+        seed, n, p, family, shape):
+    # irls_fit reads its covariances off the residuals and bread that Newton
+    # holds at the solution and weights rows along the long axis; a rebuild
+    # from the coefficients alone must give the same bits.
+    y, X, w = _newton_problem(seed, n, p, family, shape)
+    try:
+        fit = irls_fit(y, X, w, family)
+    except (EmptyFitError, SingularDesignError):
+        return
+    if not fit.converged:
+        assert np.isnan(fit.covariance).all() and np.isnan(fit.model_covariance).all()
+        return
+    covariance, model_cov = _covariances_from_scratch(
+        family, *glm._canonical_rows(y, X, w), fit.coefficients, fit.n_effective)
+    assert fit.covariance.tobytes() == covariance.tobytes()
+    assert fit.model_covariance.tobytes() == model_cov.tobytes()
 
 
 def test_scaling_response_shifts_intercept_by_log_factor():
