@@ -320,7 +320,7 @@ def cmd_diagnose(args) -> int:
          _f3(r.largest_individual_corr_control), "*" if r.flagged() else ""]
         for r in reports
     ]
-    human = "\n".join([
+    lines = [
         _render_table(
             ["covariate", "uncond", "treated", "control",
              "max pair treated", "max pair control", "flag"],
@@ -332,8 +332,11 @@ def cmd_diagnose(args) -> int:
         "max pair columns report the signed value of the largest-magnitude "
         "pairwise correlation",
         f"*: within-stratum score correlation exceeds {WITHIN_STRATUM_THRESHOLD}",
-    ])
-    _emit(args, header, rows, human)
+    ]
+    unconverged = ", ".join(r.covariate for r in reports if not r.converged)
+    if unconverged:
+        lines.append(f"unconverged fits, reported from their last iterate: {unconverged}")
+    _emit(args, header, rows, "\n".join(lines))
     return 0
 
 

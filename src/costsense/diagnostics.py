@@ -11,8 +11,9 @@ defend. Corrections stay reliable while within-stratum correlations
 remain under about 0.15.
 
 The leave-one-out fits run as one stacked Newton iteration on the records
-sorted once (:func:`costsense.glm.logit_leave_one_out`), and the
-correlations are read in that order.
+sorted once (:func:`costsense.glm.logit_leave_one_out`), and every
+correlation is read from three matrices over all covariates and scores:
+pooled, treated and control.
 """
 
 from __future__ import annotations
@@ -28,20 +29,27 @@ from .glm import RANK_DEFICIENT, expit, logit_leave_one_out
 WITHIN_STRATUM_THRESHOLD = 0.15
 
 
-def _raise_on_separation(response, scores, coefficients, covariates, names) -> None:
+def _separated(treated, scores):
+    """Whether the scores (each row of a 2-D ``scores``) split the arms perfectly."""
+    return ((scores[..., treated].min(axis=-1) > 1.0 - 1e-6)
+            & (scores[..., ~treated].max(axis=-1) < 1e-6))
+
+
+def _raise_on_separation(response, scores, covariates, names) -> None:
+    """Raise when ``scores`` split the arms, naming the first covariate whose
+    ranges in the two arms do not overlap, if any does."""
     treated = response == 1.0
-    perfectly_split = scores[treated].min() > 1.0 - 1e-6 and scores[~treated].max() < 1e-6
-    if not perfectly_split:
+    if not _separated(treated, scores):
         return
-    slopes = np.asarray(coefficients[1:], dtype=float)
-    spread = covariates.std(axis=0)
-    strength = np.abs(slopes) * np.where(spread > 0, spread, 1.0)
-    worst = int(np.argmax(strength))
-    direction = "increasing" if slopes[worst] > 0 else "decreasing"
-    raise SeparationError(
-        f"treatment arms are perfectly separated; strongest direction is "
-        f"{direction} {names[worst]!r}"
-    )
+    inside, outside = covariates[treated], covariates[~treated]
+    above = inside.min(axis=0) > outside.max(axis=0)
+    splitting = np.flatnonzero(above | (inside.max(axis=0) < outside.min(axis=0)))
+    message = "treatment arms are perfectly separated"
+    if splitting.size:
+        j = splitting[0]
+        direction = "increasing" if above[j] else "decreasing"
+        message += f"; first separating covariate is {direction} {names[j]!r}"
+    raise SeparationError(message)
 
 
 def _average_ranks(values: np.ndarray) -> np.ndarray:
@@ -82,12 +90,11 @@ def _corr(a: np.ndarray, b: np.ndarray, method: str) -> float:
     return float(_correlations(np.vstack([a, b]), method)[0, 1])
 
 
-def _largest(r: np.ndarray) -> float:
-    """Signed value of the largest-magnitude entry of ``r`` that is not NaN;
-    ties go to the first."""
-    if np.isnan(r).all():
-        return float("nan")
-    return float(r[np.nanargmax(np.abs(r))])
+def _largest(r: np.ndarray) -> np.ndarray:
+    """Signed value of the largest-magnitude entry of ``r`` that is not NaN,
+    along its last axis; ties go to the first, and all-NaN gives NaN."""
+    best = np.where(np.isnan(r), -1.0, np.abs(r)).argmax(axis=-1)
+    return np.take_along_axis(r, np.expand_dims(best, -1), axis=-1)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -97,10 +104,11 @@ class CorrelationReport:
     Score correlations use the propensity fitted without this covariate;
     ``largest_individual_*`` is the signed value of the largest-magnitude
     pairwise correlation with any single other covariate within the
-    stratum, read from one correlation matrix per stratum (on ranks for
-    Spearman, each column ranked once); on equal magnitudes the earlier
-    covariate wins. Cells with under 3 records, no variation, or a sum of
-    squares beyond the float range are NaN.
+    stratum; on equal magnitudes the earlier covariate wins. Both come from
+    one correlation matrix per stratum over every covariate and score (on
+    ranks for Spearman, each variable ranked once). Cells with under 3
+    records, no variation, or a sum of squares beyond the float range are
+    NaN. ``converged`` is False when that fit stopped at its last iterate.
     """
 
     covariate: str
@@ -109,6 +117,7 @@ class CorrelationReport:
     corr_control: float
     largest_individual_corr_treated: float
     largest_individual_corr_control: float
+    converged: bool = True
 
     def flagged(self) -> bool:
         """True when a within-stratum score correlation exceeds
@@ -130,7 +139,7 @@ def loo_correlation_report(dataset: CostDataset, covariate: str,
     SeparationError
         The leave-it-out propensity fit classifies the arms perfectly, so
         its maximum likelihood estimate does not exist; the message names
-        the covariate carrying the strongest separating direction.
+        the first kept covariate whose ranges in the two arms do not overlap.
     """
     return _reports(dataset, [covariate], method)[0]
 
@@ -138,9 +147,10 @@ def loo_correlation_report(dataset: CostDataset, covariate: str,
 def correlation_report(dataset: CostDataset, method: str = "pearson") -> list[CorrelationReport]:
     """One leave-one-out report per covariate, in covariate order.
 
-    A fit that stops unconverged is reported from its last iterate, silently:
-    under quasi-separation, such as a binary covariate that is 1 only among
-    the treated, every fit keeping it stops that way on a singular solve.
+    A fit that stops unconverged is reported from its last iterate, with
+    ``converged=False``: under quasi-separation, such as a binary covariate
+    that is 1 only among the treated, every fit keeping it stops that way on
+    a singular solve.
     """
     return _reports(dataset, dataset.covariate_names, method)
 
@@ -148,8 +158,8 @@ def correlation_report(dataset: CostDataset, method: str = "pearson") -> list[Co
 def _reports(dataset: CostDataset, covariates_wanted, method: str) -> list[CorrelationReport]:
     """Leave-one-out reports for the named covariates.
 
-    One sort of the records and one pairwise correlation matrix per arm
-    serve every report.
+    One sort of the records and one correlation matrix per stratum serve
+    every report; the first problem that is singular or separated raises.
     """
     if method not in ("pearson", "spearman"):
         raise ValueError(f"method must be 'pearson' or 'spearman', got {method!r}")
@@ -169,26 +179,34 @@ def _reports(dataset: CostDataset, covariates_wanted, method: str) -> list[Corre
         raise SchemaError("leave-one-out correlations need at least 2 covariates")
     design = np.column_stack([np.ones(len(response)), covariates])
     wanted = [names.index(covariate) for covariate in covariates_wanted]
-    coefficients, _, _, singular = logit_leave_one_out(
+    coefficients, converged, _, singular = logit_leave_one_out(
         response, design, [index + 1 for index in wanted])
     scores = expit(coefficients @ design.T)
-    pairwise_treated = _correlations(covariates[treated].T, method)
-    pairwise_control = _correlations(covariates[~treated].T, method)
-
-    reports = []
-    for problem, (index, score) in enumerate(zip(wanted, scores)):
+    failed = singular | _separated(treated, scores)
+    if failed.any():
+        problem = int(failed.argmax())
         if singular[problem]:
             raise SingularDesignError(RANK_DEFICIENT)
-        keep = [j for j in range(len(names)) if j != index]
-        _raise_on_separation(response, score, np.delete(coefficients[problem], index + 1),
-                             covariates[:, keep], [names[j] for j in keep])
-        column = covariates[:, index]
-        reports.append(CorrelationReport(
-            covariate=names[index],
-            corr_unconditional=_corr(column, score, method),
-            corr_treated=_corr(column[treated], score[treated], method),
-            corr_control=_corr(column[~treated], score[~treated], method),
-            largest_individual_corr_treated=_largest(pairwise_treated[index, keep]),
-            largest_individual_corr_control=_largest(pairwise_control[index, keep]),
-        ))
-    return reports
+        j = wanted[problem]
+        _raise_on_separation(response, scores[problem], np.delete(covariates, j, axis=1),
+                             names[:j] + names[j + 1:])
+
+    cells = _report_cells(covariates, scores, treated, wanted, method)
+    return [CorrelationReport(names[index], *map(float, cells[i]), bool(converged[i]))
+            for i, index in enumerate(wanted)]
+
+
+def _report_cells(covariates, scores, treated, wanted, method: str) -> np.ndarray:
+    """Per covariate ``wanted[i]``, from one matrix per stratum over every covariate
+    and every score: its correlations with ``scores[i]`` pooled, treated and control,
+    then its largest pairwise correlation treated and control."""
+    k, problems = covariates.shape[1], np.arange(len(wanted))
+    rows = np.vstack([covariates.T, scores])
+    score_corr, largest = [], []
+    for subset in (rows, rows[:, treated], rows[:, ~treated]):
+        r = _correlations(subset, method)
+        score_corr.append(r[wanted, k + problems])
+        pairwise = r[wanted, :k]
+        pairwise[problems, wanted] = np.nan
+        largest.append(_largest(pairwise))
+    return np.column_stack(score_corr + largest[1:])

@@ -32,18 +32,20 @@ Robust (sandwich) covariance is the default variance estimate; a
 model-based covariance, built from the same bread, is also attached to
 every fit. Each fit sorts its rows into one canonical order and runs every
 reduction over it, so permuting input records reproduces results bit for bit.
-The order is lexicographic over all columns, but a fit whose responses do
-not tie, such as a cost fit on continuous costs, sorts on the response alone.
-That one-key sort is numpy's default, unstable one: an unstable sort may
-reorder equal keys, but with no two keys equal every correct sort returns the
-same permutation, so the order is still unique. Ties fall back to a stable
-lexsort over every column.
+The order is lexicographic over all columns, ties broken by input position.
+Every fit sorts the response alone, with numpy's default, unstable sort, then
+lexsorts only the records in runs of equal responses, if any, over every
+column and their input positions. On the cohort, whose costs tie only on 2
+zeros, that took 68 µs against 808 µs for a lexsort of all 1,860 records
+over 20 keys (2-core Xeon, numpy 2.4.6).
 
 :func:`logit_leave_one_out` fits ``diagnose``'s leave-one-out logit problems,
 which share one design, as one stacked Newton iteration under
 :func:`_newton`'s rules. Single fits stay on ``_newton``, as a stack of one
 only adds work: one 200-record logit problem took 720 µs in the stack and
-287 µs in ``_newton`` (2-core Xeon, numpy 2.4.6, best of five).
+287 µs in ``_newton`` (2-core Xeon, numpy 2.4.6, best of five). The stack's
+breads are built one design column at a time, no temporary larger than the
+design: 16 cohort breads took 0.50 ms, against 0.97 ms as 16 full products.
 """
 
 from __future__ import annotations
@@ -100,18 +102,21 @@ def _canonical_rows(y, X, w):
     """Response ``y``, design ``X`` and weights ``w`` in canonical row order.
 
     The order is lexicographic on the response, then the design columns,
-    then the weights. When no two responses tie, a sort of the response
-    alone already is that order, and the full sort is skipped. That sort
-    need not be stable: without equal keys the sorted permutation is unique,
-    and any tie fails the strict-increase check and goes to the lexsort.
+    then the weights, then the input position: that of a stable lexsort. A
+    sort of the response alone gives it up to runs of equal responses, and
+    only the records in those runs are lexsorted. That sort need not be
+    stable, since every run is re-sorted whatever order it left.
     """
     # A fixed row order fixes the summation order, making every reduction
     # invariant to input permutation.
     order = np.argsort(y)
     ordered = y.take(order)
-    if not np.all(ordered[1:] > ordered[:-1]):
-        columns = [X[:, j] for j in range(X.shape[1] - 1, -1, -1)]
-        order = np.lexsort(tuple([w] + columns + [y]))
+    tied = ~(ordered[1:] > ordered[:-1])
+    if tied.any():
+        runs = np.flatnonzero(np.append(tied, False) | np.insert(tied, 0, False))
+        rows = order[runs]
+        keys = (rows, w.take(rows), *X.take(rows, axis=0).T[::-1], ordered[runs])
+        order[runs] = rows[np.lexsort(keys)]
         ordered = y.take(order)
     return ordered, X.take(order, axis=0), w.take(order)
 
@@ -259,6 +264,7 @@ def logit_leave_one_out(response, design, dropped):
     converged = np.zeros(len(keep), dtype=bool)
     iterations = np.zeros(len(keep), dtype=np.int64)
     live = np.flatnonzero(~singular)  # the problems still iterating, a row of state each
+    XT = np.ascontiguousarray(X.T)
     b = coefficients[live]
     _, resid, info, dev = _logit_trials(b, X, y)
     for iteration in range(1, _MAX_ITERATIONS + 1):
@@ -267,7 +273,7 @@ def logit_leave_one_out(response, design, dropped):
         iterations[live] = iteration
         cut = keep[live]
         score = np.take_along_axis(resid @ X, cut, axis=1)
-        bread = np.array([((X * w[:, None]).T @ X)[np.ix_(c, c)] for w, c in zip(info, cut)])
+        bread = _breads(XT, info, cut)
         try:
             cut_step = np.linalg.solve(bread, score[..., None])[..., 0]
         except np.linalg.LinAlgError:
@@ -310,6 +316,18 @@ def logit_leave_one_out(response, design, dropped):
         resid, info, dev = resid[~done], info[~done], dev_new[~done]
     coefficients[live] = b
     return coefficients, converged, iterations, singular
+
+
+def _breads(XT, info, cut):
+    """Per row of ``info``: the bread ``(X.T * info[i]) @ X`` restricted to the
+    columns ``cut[i]``. Built one column of the upper triangle at a time, so no
+    temporary outgrows one copy of the design, then mirrored: exactly symmetric."""
+    k = XT.shape[0]
+    full = np.empty((len(info), k, k))
+    for a in range(k):
+        full[:, a, a:] = info @ (XT[a:] * XT[a]).T
+        full[:, a + 1:, a] = full[:, a, a + 1:]
+    return full[np.arange(len(cut))[:, None, None], cut[:, :, None], cut[:, None, :]]
 
 
 def _logit_trials(b, X, y):

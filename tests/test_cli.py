@@ -534,6 +534,7 @@ def test_diagnose_reports_each_covariate(tmp_path, capsys):
     # Spearman reruns on ranks; same shape, different numbers allowed.
     _, spearman, _ = _run(capsys, "diagnose", "--input", str(path), "--spearman")
     assert "correlation method: spearman" in spearman
+    assert "unconverged" not in spearman
 
 
 def test_synth_writes_reloadable_cohort(tmp_path, capsys):

@@ -6,6 +6,7 @@ import math
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,8 +33,9 @@ from costsense.diagnostics import (
     _correlations,
     _largest,
     _raise_on_separation,
+    _report_cells,
 )
-from costsense import glm
+from costsense import diagnostics, glm
 from costsense.cli import main
 from costsense.glm import Family, irls_fit, logit_leave_one_out, logit_scores
 
@@ -96,6 +98,28 @@ def test_perfect_separation_names_the_covariate_and_direction():
     # Leaving out the last column fits the score on z1 and the noise.
     with pytest.raises(SeparationError, match="increasing 'z1'"):
         loo_correlation_report(ds, "z3")
+
+
+def test_separation_names_the_first_covariate_whose_arm_ranges_do_not_overlap():
+    response = np.array([1.0, 1.0, 1.0, 0.0, 0.0, 0.0])
+    scores = np.where(response == 1.0, 1.0, 0.0)
+    overlapping = [0.5, -1.0, 2.0, 0.0, 1.0, -2.0]
+    lower_when_treated = [-3.0, -2.0, -2.5, 1.0, 0.0, 2.0]
+    higher_when_treated = [5.0, 6.0, 7.0, 1.0, 2.0, 3.0]
+    covariates = np.column_stack([overlapping, higher_when_treated, lower_when_treated])
+    message = "treatment arms are perfectly separated"
+    with pytest.raises(SeparationError) as raised:
+        _raise_on_separation(response, scores, covariates[:, [0, 2, 1]], ["a", "b", "c"])
+    assert str(raised.value) == f"{message}; first separating covariate is decreasing 'b'"
+    with pytest.raises(SeparationError) as raised:
+        _raise_on_separation(response, scores, covariates, ["a", "b", "c"])
+    assert str(raised.value) == f"{message}; first separating covariate is increasing 'b'"
+    # Ranges that only touch overlap; the arms split on the sum alone.
+    touching = np.column_stack([[1.0, 0.0, 2.0, 1.0, -1.0, 0.0], [0.0, 2.0, 0.0, -1.0, 1.0, -2.0]])
+    with pytest.raises(SeparationError) as raised:
+        _raise_on_separation(response, scores, touching, ["a", "b"])
+    assert str(raised.value) == message
+    _raise_on_separation(response, np.full(6, 0.5), covariates, ["a", "b", "c"])
 
 
 def test_one_armed_dataset_raises_empty_fit():
@@ -290,9 +314,8 @@ def test_stacked_fits_equal_stand_alone_fits(ds):
         assert not singular[j]
         design = np.column_stack([np.ones(len(ds)), ds.covariates[:, keep]])
         # Without a finite maximum likelihood estimate (separation) the
-        # iteration diverges, and rounding decides where it stops, whether a
-        # step first falls under the tolerance, and which direction is
-        # strongest when several separate: over 200 row orders, _newton alone
+        # iteration diverges, and rounding decides where it stops and whether
+        # a step first falls under the tolerance: over 200 row orders, _newton alone
         # stopped one six-record separated problem anywhere from 40 to 68
         # iterations, and called a quasi-separated one converged in 18 of them.
         # A fit that converges with every linear predictor within 20 of 0 has
@@ -303,7 +326,7 @@ def test_stacked_fits_equal_stand_alone_fits(ds):
             assert np.all(np.abs(stacked - coef) <= 1e-10 * np.maximum(1.0, np.abs(coef)))
         if first_error is None:
             try:
-                _raise_on_separation(response, expit(design @ coef), coef,
+                _raise_on_separation(response, expit(design @ coef),
                                      ds.covariates[:, keep], [names[i] for i in keep])
             except SeparationError as error:
                 first_error, first = error, j
@@ -312,19 +335,55 @@ def test_stacked_fits_equal_stand_alone_fits(ds):
         return
     with pytest.raises(type(first_error)) as raised:
         correlation_report(ds)
-    if isinstance(first_error, SingularDesignError):
-        assert str(raised.value) == str(first_error)
-    else:
-        # The same problem separates, and the direction named is one it kept.
+    if isinstance(first_error, SeparationError):
+        # The same problem separates first.
         sorted_response, covariates = _canonical(ds)
         design = np.column_stack([np.ones(len(ds)), covariates])
         scores = expit(coefficients @ design.T)
         treated = sorted_response == 1.0
         split = (scores[:, treated].min(axis=1) > 1.0 - 1e-6) & (scores[:, ~treated].max(axis=1) < 1e-6)
         assert split[first] and not split[:first].any()
-        prefix = "treatment arms are perfectly separated; strongest direction is "
-        assert str(raised.value).startswith(prefix)
-        assert str(raised.value).split("'")[1] in names[:first] + names[first + 1:]
+    # The covariate a separation message names is picked by the data, not by
+    # the iterate, so the stacked and stand-alone messages agree exactly.
+    assert str(raised.value) == str(first_error)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ds=_propensity_problems())
+def test_stacked_breads_equal_the_per_problem_products(ds):
+    built = []
+    original = glm._breads
+
+    def recording_breads(XT, info, cut):
+        breads = original(XT, info, cut)
+        built.append((XT.T.copy(), info.copy(), cut, breads))
+        return breads
+
+    with mock.patch.object(glm, "_breads", recording_breads):
+        _stacked(ds)
+    for X, info, cut, breads in built:
+        for bread, w, c in zip(breads, info, cut):
+            want = ((X.T * w) @ X)[np.ix_(c, c)]
+            # Rounding error is bounded relative to the sum of the magnitudes.
+            scale = ((np.abs(X).T * w) @ np.abs(X))[np.ix_(c, c)]
+            assert np.all(np.abs(bread - want) <= 1e-13 * scale)
+            np.testing.assert_array_equal(bread, bread.T)
+
+
+def test_correlation_report_builds_three_correlation_matrices(monkeypatch):
+    # Pooled, treated and control, each over every covariate and every score:
+    # no per-pair correlation is computed.
+    shapes = []
+    original = diagnostics._correlations
+
+    def counting_correlations(rows, method):
+        shapes.append(rows.shape)
+        return original(rows, method)
+
+    monkeypatch.setattr(diagnostics, "_correlations", counting_correlations)
+    ds, _, x = _logistic_design(10, 600, [0.3, -0.2, 0.1])
+    assert len(correlation_report(ds)) == 3
+    assert shapes == [(6, 600), (6, int(x.sum())), (6, 600 - int(x.sum()))]
 
 
 def test_dependent_column_leaves_the_other_problems_fitted():
@@ -343,11 +402,12 @@ def test_dependent_column_leaves_the_other_problems_fitted():
     assert loo_correlation_report(ds, "z1").covariate == "z1"
 
 
-def test_quasi_separated_fits_report_their_last_iterate():
+def test_quasi_separated_fits_report_their_last_iterate(tmp_path):
     # A binary covariate that is 1 only among some of the treated drives every
     # fit that keeps it towards infinity; each stops, unconverged, on a
     # singular solve once its treated probabilities round to 1. The reports
-    # still come from those last iterates, and no error is raised.
+    # still come from those last iterates, marked unconverged, and no error
+    # is raised.
     rng = np.random.default_rng(12)
     n = 300
     z = rng.normal(size=(n, 3))
@@ -359,6 +419,14 @@ def test_quasi_separated_fits_report_their_last_iterate():
     assert not singular.any() and (iterations[:3] > 30).all()
     reports = correlation_report(ds)
     assert [r.covariate for r in reports] == ["z1", "z2", "z3", "z4"]
+    assert [r.converged for r in reports] == [False, False, False, True]
+    path = tmp_path / "quasi.csv"
+    save_dataset(path, ds)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["diagnose", "--input", str(path)]) == 0
+    assert out.getvalue().splitlines()[-1] == (
+        "unconverged fits, reported from their last iterate: z1, z2, z3")
     response, covariates = _canonical(ds)
     design = np.column_stack([np.ones(n), covariates])
     scores = expit(coefficients @ design.T)
@@ -451,6 +519,17 @@ def _first_largest(correlations):
     return best
 
 
+def _assert_largest_agrees(got, reference):
+    """``got`` is a largest-magnitude pick from the per-pair ``reference``.
+    Magnitudes that agree to 1e-12 are a tie up to rounding, which the two
+    computations may break differently."""
+    best = _first_largest(reference)
+    assert np.isnan(got) == np.isnan(best)
+    if not np.isnan(best):
+        tied = [r for r in reference if not np.isnan(r) and abs(abs(r) - abs(best)) <= 1e-12]
+        assert any(abs(got - r) <= 1e-12 for r in tied), (got, reference)
+
+
 @given(st.integers(0, 12), st.integers(1, 5), st.sampled_from(["pearson", "spearman"]),
        st.data())
 def test_largest_pairwise_equals_the_per_pair_loop(n, k, method, data):
@@ -461,18 +540,51 @@ def test_largest_pairwise_equals_the_per_pair_loop(n, k, method, data):
                               min_size=n, max_size=n))
     table = np.array(rows, dtype=np.float64).reshape(n, k + 1)
     column, others = table[:, 0], table[:, 1:]
-    reference = _pairwise_reference(column, others, method)
-    best = _first_largest(reference)
-    got = _largest_pairwise(column, others, method)
-    if np.isnan(best):
-        assert np.isnan(got)
-        return
-    # Pairs whose magnitudes agree to 1e-12 are a tie up to rounding, which
-    # the two computations may break differently; exact ties are tested below.
-    tied = [r for r in reference if not np.isnan(r) and abs(abs(r) - abs(best)) <= 1e-12]
-    assert any(abs(got - r) <= 1e-12 for r in tied), (got, reference)
-    if len(set(tied)) == 1:
-        assert abs(got - best) <= 1e-12
+    # Exact ties are tested below.
+    _assert_largest_agrees(_largest_pairwise(column, others, method),
+                           _pairwise_reference(column, others, method))
+
+
+@st.composite
+def _report_inputs(draw):
+    """Covariates, one score row per wanted covariate and a treated mask, with
+    arms of any size (under 3 records too), ties on half-integers, and columns
+    that are constant, constant in the treated arm, or near 1e200, where sums
+    of squares overflow."""
+    n, k = draw(st.integers(0, 14)), draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    wanted = [int(j) for j in rng.permutation(k)[:draw(st.integers(1, k))]]
+    table = rng.normal(size=(n, k + len(wanted)))
+    if draw(st.booleans()):
+        table = np.round(2.0 * table) / 2.0
+    treated = rng.uniform(size=n) < draw(st.sampled_from([0.1, 0.5, 0.9]))
+    for column in draw(st.lists(st.integers(0, table.shape[1] - 1), max_size=3)):
+        shape = draw(st.sampled_from(["constant", "constant when treated", "huge"]))
+        if shape == "constant":
+            table[:, column] = 0.1
+        elif shape == "constant when treated":
+            table[treated, column] = 3.0
+        else:
+            table[:, column] = 1e200 * rng.normal(size=n)
+    return table[:, :k], table[:, k:].T.copy(), treated, wanted
+
+
+@settings(max_examples=200, deadline=None)
+@given(inputs=_report_inputs(), method=st.sampled_from(["pearson", "spearman"]))
+def test_report_cells_equal_the_per_pair_path(inputs, method):
+    covariates, scores, treated, wanted = inputs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cells = _report_cells(covariates, scores, treated, wanted, method)
+    everyone = np.ones(len(treated), dtype=bool)
+    for i, j in enumerate(wanted):
+        for cell, arm in zip(cells[i, :3], (everyone, treated, ~treated)):
+            want = _corr(covariates[arm, j], scores[i, arm], method)
+            assert np.isnan(cell) == np.isnan(want)
+            assert np.isnan(want) or abs(cell - want) <= 1e-12
+        others = np.delete(covariates, j, axis=1)
+        for cell, arm in zip(cells[i, 3:], (treated, ~treated)):
+            _assert_largest_agrees(cell, _pairwise_reference(covariates[arm, j], others[arm], method))
 
 
 @pytest.mark.parametrize("method", ["pearson", "spearman"])
