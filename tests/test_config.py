@@ -485,3 +485,115 @@ def test_single_fault_scenario_sections_keep_their_status_and_message(
                   "[scenario s]\n" + "".join(f"{k} = {v}\n" for k, v in items.items()))
     got = main(["simulate", "--input", path, "--seed", "3", "--reps", "2", "--format", "csv"])
     assert (got, capsys.readouterr().err) == (status, f"error: {error}\n" if error else "")
+
+
+# A valid sweep or adjust file per confounder layout, as sections of keys.
+_VALID_FILES = {
+    "sweep_bernoulli": {
+        "apparent": {"cost_ratio": "0.873", "ci_low": "0.793", "ci_high": "0.960"},
+        "sweep": {"family": "bernoulli"},
+        "grid": {"prevalence": "0.7/0.5, 0.8/0.4", "effect": "1.1, 1.25"},
+    },
+    "sweep_normal": {
+        "apparent": {"beta_star": "-0.136", "se": "0.0488", "level": "0.9"},
+        "sweep": {"family": "normal"},
+        "grid a": {"mean": "0/1", "sd": "1", "effect": "1.2"},
+        "grid b": {"mean": "0.5/1", "sd": "2", "effect": "1.1, 1.3"},
+    },
+    "sweep_gamma": {
+        "apparent": {"beta_star": "-0.136", "se": "0.0488"},
+        "sweep": {"family": "gamma"},
+        "grid": {"mean_ratio": "1.5, 2", "var_over_mean": "0.5", "log_effect": "0.2"},
+    },
+    "adjust_poisson": {
+        "apparent": {"cost_ratio": "0.873", "ci_low": "0.793", "ci_high": "0.960"},
+        "confounder": {"family": "poisson", "rate": "1/2", "effect": "1.1"},
+    },
+    "adjust_gamma": {
+        "apparent": {"beta_star": "-0.136", "se": "0.0488"},
+        "confounder": {"family": "gamma", "shape": "2", "scale": "0.5/0.6", "log_effect": "0.3"},
+    },
+}
+
+# Each valid file as it is, then with one key of one section dropped (None) or
+# set, where a new section name adds that section; with the exit status and
+# the stderr line (without its "error: " prefix) that the file's command
+# prints. These messages are part of the command-line contract.
+_FILE_FAULTS = [
+    ("sweep_bernoulli", None, None, None, 0, ""),
+    ("sweep_bernoulli", "sweep", "family", None, 2, "config-error: [sweep]: missing required key 'family'"),
+    ("sweep_bernoulli", "sweep", "family", "zz", 2, "config-error: [sweep]: unknown confounder family 'zz'; expected one of bernoulli, normal, poisson, gamma"),
+    ("sweep_bernoulli", "sweep", "extra", "1", 2, "config-error: [sweep]: unknown keys: extra"),
+    ("sweep_bernoulli", "sweep", "seed", "5", 2, "config-error: [sweep]: seed is supplied by the caller (--seed), not the file"),
+    ("sweep_bernoulli", "grid", "prevalence", "2", 2, "config-error: [grid]: prevalence must lie in [0, 1], got 2.0"),
+    ("sweep_bernoulli", "grid", "prevalence", "zz", 2, "config-error: [grid]: prevalence = 'zz' is not a number"),
+    ("sweep_bernoulli", "grid", "prevalence", "inf", 2, "config-error: [grid]: prevalence must be finite, got 'inf'"),
+    ("sweep_bernoulli", "grid", "prevalence", "0.5,", 2, "config-error: [grid]: prevalence has an empty list entry"),
+    ("sweep_bernoulli", "grid", "prevalence", "0.5/0.5/0.5", 2, "config-error: [grid]: prevalence entry '0.5/0.5/0.5' has too many '/'; use 'value' for both arms or 'control/treated'"),
+    ("sweep_bernoulli", "grid", "effect", None, 2, "config-error: [grid]: give exactly one of 'effect' or 'log_effect'"),
+    ("sweep_bernoulli", "grid", "effect", "0", 2, "config-error: [grid]: effect is a multiplicative cost ratio and must be positive"),
+    ("sweep_bernoulli", "grid", "effect", "-1", 2, "config-error: [grid]: effect is a multiplicative cost ratio and must be positive"),
+    ("sweep_bernoulli", "grid", "log_effect", "0.1", 2, "config-error: [grid]: give exactly one of 'effect' or 'log_effect'"),
+    ("sweep_bernoulli", "grid", "extra", "1", 2, "config-error: [grid]: bernoulli grids take prevalence; got: extra, prevalence"),
+    ("sweep_bernoulli", "apparent", "cost_ratio", "-1", 2, "config-error: [apparent]: cost_ratio must be positive"),
+    ("sweep_bernoulli", "apparent", "cost_ratio", "inf", 2, "config-error: [apparent]: cost_ratio must be finite, got 'inf'"),
+    ("sweep_bernoulli", "apparent", "ci_low", "0.99", 2, "config-error: [apparent]: need 0 < ci_low < ci_high on the ratio scale"),
+    ("sweep_bernoulli", "apparent", "ci_high", None, 2, "config-error: [apparent]: needs cost_ratio + ci_low + ci_high, or beta_star + se"),
+    ("sweep_bernoulli", "apparent", "se", "0.1", 2, "config-error: [apparent]: give either cost_ratio/ci_low/ci_high or beta_star/se, not both"),
+    ("sweep_bernoulli", "apparent", "level", "1.5", 2, "config-error: [apparent]: confidence level must lie in (0, 1), got 1.5"),
+    ("sweep_bernoulli", "apparent", "level", "zz", 2, "config-error: [apparent]: level = 'zz' is not a number"),
+    ("sweep_bernoulli", "apparent", "extra", "1", 2, "config-error: [apparent]: unknown keys: extra"),
+    ("sweep_bernoulli", "extra", "a", "1", 2, "config-error: unknown section [extra]; expected [apparent], [sweep], or [grid*]"),
+    ("sweep_normal", None, None, None, 0, ""),
+    ("sweep_normal", "grid a", "sd", "-1", 2, "config-error: [grid a]: sd must be positive, got -1.0"),
+    ("sweep_normal", "grid a", "mean", "nan", 2, "config-error: [grid a]: mean must be finite, got 'nan'"),
+    ("sweep_normal", "grid b", "sd", None, 2, "config-error: [grid b]: grid sections must share one key set; expected effect, mean, sd"),
+    ("sweep_normal", "grid b", "sd", "0", 2, "config-error: [grid b]: sd must be positive, got 0.0"),
+    ("sweep_normal", "apparent", "se", "-1", 2, "config-error: [apparent]: standard error must be positive, got -1.0"),
+    ("sweep_normal", "apparent", "beta_star", "zz", 2, "config-error: [apparent]: beta_star = 'zz' is not a number"),
+    ("sweep_normal", "apparent", "level", "1.5", 2, "config-error: [apparent]: confidence level must lie in (0, 1), got 1.5"),
+    ("sweep_normal", "apparent", "level", "0", 2, "config-error: [apparent]: confidence level must lie in (0, 1), got 0.0"),
+    ("sweep_gamma", None, None, None, 0, ""),
+    ("sweep_gamma", "sweep", "family", "poisson", 2, "config-error: [grid]: poisson grids take rate; got: mean_ratio, var_over_mean"),
+    ("sweep_gamma", "grid", "mean_ratio", "0", 2, "config-error: [grid]: mean ratio must be positive, got 0.0"),
+    ("sweep_gamma", "grid", "mean_ratio", "1.5/2", 2, "config-error: [grid]: mean_ratio applies to both arms; arm-specific 'a/b' values are not meaningful"),
+    ("sweep_gamma", "grid", "var_over_mean", "-1", 2, "config-error: [grid]: variance-to-mean ratio must be positive, got -1.0"),
+    ("sweep_gamma", "grid", "var_over_mean", None, 2, "config-error: [grid]: gamma grids take shape + scale, or mean_ratio + var_over_mean; got: mean_ratio"),
+    ("sweep_gamma", "grid", "shape", "2", 2, "config-error: [grid]: gamma grids take shape + scale, or mean_ratio + var_over_mean; got: mean_ratio, shape, var_over_mean"),
+    ("sweep_gamma", "grid", "log_effect", "zz", 2, "config-error: [grid]: log_effect = 'zz' is not a number"),
+    ("adjust_poisson", None, None, None, 0, ""),
+    ("adjust_poisson", "confounder", "family", None, 2, "config-error: [confounder]: missing required key 'family'"),
+    ("adjust_poisson", "confounder", "family", "zz", 2, "config-error: [confounder]: unknown confounder family 'zz'; expected one of bernoulli, normal, poisson, gamma"),
+    ("adjust_poisson", "confounder", "rate", "-1", 2, "config-error: [confounder]: rate must be nonnegative, got -1.0"),
+    ("adjust_poisson", "confounder", "rate", "1, 2", 2, "config-error: [confounder]: lists are for sweeps; give a single value per key here"),
+    ("adjust_poisson", "confounder", "effect", "0", 2, "config-error: [confounder]: effect is a multiplicative cost ratio and must be positive"),
+    ("adjust_poisson", "confounder", "extra", "1", 2, "config-error: [confounder]: poisson grids take rate; got: extra, rate"),
+    ("adjust_poisson", "apparent", "ci_low", "0.99", 2, "config-error: [apparent]: need 0 < ci_low < ci_high on the ratio scale"),
+    ("adjust_poisson", "apparent", "level", "1.5", 2, "config-error: [apparent]: confidence level must lie in (0, 1), got 1.5"),
+    ("adjust_poisson", "extra", "a", "1", 2, "config-error: unknown section [extra]; expected [apparent] or [confounder]"),
+    ("adjust_gamma", None, None, None, 0, ""),
+    ("adjust_gamma", "confounder", "shape", "-1", 2, "config-error: [confounder]: shape and scale must be positive, got shape=-1.0, scale=0.5"),
+    ("adjust_gamma", "confounder", "scale", "zz", 2, "config-error: [confounder]: scale = 'zz' is not a number"),
+    ("adjust_gamma", "confounder", "log_effect", "3", 0, ""),
+    ("adjust_gamma", "confounder", "mean_ratio", "2", 2, "config-error: [confounder]: gamma grids take shape + scale, or mean_ratio + var_over_mean; got: mean_ratio, scale, shape"),
+    ("adjust_gamma", "apparent", "se", "0", 2, "config-error: [apparent]: standard error must be positive, got 0.0"),
+]
+
+
+@pytest.mark.parametrize("file, section, key, value, status, error", _FILE_FAULTS,
+                         ids=[f"{f}-{s}-{k}-{v}" for f, s, k, v, _, _ in _FILE_FAULTS])
+def test_single_fault_sweep_and_adjust_files_keep_their_status_and_message(
+        tmp_path, capsys, file, section, key, value, status, error):
+    sections = {name: dict(items) for name, items in _VALID_FILES[file].items()}
+    if section is not None:
+        items = sections.setdefault(section, {})
+        if value is None:
+            items.pop(key)
+        else:
+            items[key] = value
+    path = _write(tmp_path / "f.ini", "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in items.items())
+        for name, items in sections.items()))
+    command = file.split("_")[0]
+    got = main([command, "--input", path, "--format", "csv"])
+    assert (got, capsys.readouterr().err) == (status, f"error: {error}\n" if error else "")
