@@ -73,62 +73,3 @@ from .simulation import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdjustedEffect",
-    "ApparentEffect",
-    "BernoulliParams",
-    "CDScenario",
-    "CIScenario",
-    "ConfigError",
-    "ConfounderFamily",
-    "ConfounderModel",
-    "CorrelationModelError",
-    "CorrelationReport",
-    "CostDataset",
-    "CostOverflowError",
-    "CostSenseError",
-    "DidNotConvergeError",
-    "EmptyDatasetError",
-    "EmptyFitError",
-    "EstimationError",
-    "FitResult",
-    "GAMMA_RATIO_CONVENTION",
-    "GammaParams",
-    "InputNotFoundError",
-    "InvalidDataError",
-    "MgfDomainError",
-    "NoPositiveCostError",
-    "NormalParams",
-    "ParseError",
-    "PoissonParams",
-    "PropensityScenario",
-    "ReplicationRecord",
-    "SchemaError",
-    "SeparationError",
-    "SimulationResult",
-    "SingularDesignError",
-    "SweepRow",
-    "UsageError",
-    "WITHIN_STRATUM_THRESHOLD",
-    "ZeroProbabilityError",
-    "adjust_effect",
-    "aggregate",
-    "correlation_report",
-    "cost_design",
-    "fit_censored_cost",
-    "fit_cost",
-    "gamma_arms_from_mean_ratio",
-    "generate_ci_dataset",
-    "ipw_weights",
-    "km_censoring_survival",
-    "load_dataset",
-    "log_mgf",
-    "loo_correlation_report",
-    "run_replication",
-    "save_dataset",
-    "sweep",
-    "synthetic_cohort",
-    "z_quantile",
-    "zero_cost_shift",
-]

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import CostDataset
-from .errors import EmptyFitError, SchemaError, SeparationError, SingularDesignError
+from .errors import ConfigError, EmptyFitError, SchemaError, SeparationError, SingularDesignError
 from .glm import RANK_DEFICIENT, expit, logit_leave_one_out
 
 WITHIN_STRATUM_THRESHOLD = 0.15
@@ -162,11 +162,11 @@ def _reports(dataset: CostDataset, covariates_wanted, method: str) -> list[Corre
     every report; the first problem that is singular or separated raises.
     """
     if method not in ("pearson", "spearman"):
-        raise ValueError(f"method must be 'pearson' or 'spearman', got {method!r}")
+        raise ConfigError(f"method must be 'pearson' or 'spearman', got {method!r}")
     names = list(dataset.covariate_names)
     for covariate in covariates_wanted:
         if covariate not in names:
-            raise KeyError(f"no covariate named {covariate!r}")
+            raise SchemaError(f"no covariate named {covariate!r}")
     # The order of the whole table depends only on its multiset of rows, so
     # permuting the records changes no bit of a report.
     order = np.lexsort((*dataset.covariates.T[::-1], dataset.treatment))

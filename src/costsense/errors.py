@@ -5,9 +5,9 @@ line in particular) can report failures in a machine-readable way, plus an
 ``exit_status`` matching the CLI contract: 1 for estimation failures, 2 for
 usage or input errors.
 
-Each input is checked once, where it enters the program, and every check the
-command line can reach raises one of these classes; ``tests/test_errors.py``
-lists each builtin ``ValueError``, ``TypeError`` or ``KeyError`` left, and why.
+Each input is checked once, where it enters the program, and every check
+raises one of these classes, never a builtin error; ``tests/test_errors.py``
+fails on any ``raise`` in the package that names another class.
 """
 
 
@@ -56,7 +56,9 @@ class NoPositiveCostError(UsageError):
     code = "no-positive-cost"
 
 
-class ConfigError(UsageError):
+class ConfigError(UsageError, ValueError):
+    """Also a ``ValueError``, as :class:`InvalidDataError` is."""
+
     code = "config-error"
 
 

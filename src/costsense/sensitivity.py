@@ -28,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import MgfDomainError
+from .errors import ConfigError, MgfDomainError
 
 
 class ConfounderFamily(enum.Enum):
@@ -43,7 +43,7 @@ class ConfounderFamily(enum.Enum):
             return cls(name.strip().lower())
         except ValueError:
             options = ", ".join(f.value for f in cls)
-            raise ValueError(f"unknown confounder family {name!r}; expected one of {options}") from None
+            raise ConfigError(f"unknown confounder family {name!r}; expected one of {options}") from None
 
 
 @dataclass(frozen=True)
@@ -52,7 +52,7 @@ class BernoulliParams:
 
     def __post_init__(self):
         if not 0.0 <= self.prevalence <= 1.0:
-            raise ValueError(f"prevalence must lie in [0, 1], got {self.prevalence}")
+            raise ConfigError(f"prevalence must lie in [0, 1], got {self.prevalence}")
 
     def log_mgf(self, gamma: float) -> float:
         p = self.prevalence
@@ -70,11 +70,11 @@ class NormalParams:
 
     def __post_init__(self):
         if not math.isfinite(self.mean):
-            raise ValueError(f"mean must be finite, got {self.mean}")
+            raise ConfigError(f"mean must be finite, got {self.mean}")
         # Every comparison with NaN is false, so each check asks for the valid
         # range, bounded above by inf, and NaN and inf fail it.
         if not 0 < self.sd < math.inf:
-            raise ValueError(f"sd must be positive, got {self.sd}")
+            raise ConfigError(f"sd must be positive, got {self.sd}")
 
     def log_mgf(self, gamma: float) -> float:
         return self.mean * gamma + 0.5 * (self.sd * gamma) ** 2
@@ -86,7 +86,7 @@ class PoissonParams:
 
     def __post_init__(self):
         if not 0 <= self.rate < math.inf:
-            raise ValueError(f"rate must be nonnegative, got {self.rate}")
+            raise ConfigError(f"rate must be nonnegative, got {self.rate}")
 
     def log_mgf(self, gamma: float) -> float:
         return self.rate * math.expm1(gamma)
@@ -99,7 +99,7 @@ class GammaParams:
 
     def __post_init__(self):
         if not (0 < self.shape < math.inf and 0 < self.scale < math.inf):
-            raise ValueError(
+            raise ConfigError(
                 f"shape and scale must be positive, got shape={self.shape}, scale={self.scale}"
             )
 
@@ -124,11 +124,11 @@ _PARAM_TYPES = {
 
 def check_params(family: ConfounderFamily, params, owner: str = "confounder",
                  arm: str | None = None) -> None:
-    """Raise TypeError unless ``params`` is ``family``'s parameter dataclass."""
+    """Raise ConfigError unless ``params`` is ``family``'s parameter dataclass."""
     expected = _PARAM_TYPES[family]
     if not isinstance(params, expected):
         where = f" for the {arm} arm" if arm else ""
-        raise TypeError(
+        raise ConfigError(
             f"{family.value} {owner} needs {expected.__name__}{where}, got {type(params).__name__}"
         )
 
@@ -191,7 +191,7 @@ CONFIDENCE_LEVEL = 0.95
 def z_quantile(level: float) -> float:
     """Two-sided normal critical value for a confidence ``level`` in (0, 1)."""
     if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must lie in (0, 1), got {level}")
+        raise ConfigError(f"confidence level must lie in (0, 1), got {level}")
     upper = 0.5 + level / 2.0
     # A level within an ulp of 1 rounds the upper tail point to 1.
     return NormalDist().inv_cdf(upper) if upper < 1.0 else math.inf
@@ -207,9 +207,9 @@ class ApparentEffect:
 
     def __post_init__(self):
         if not np.isfinite(self.beta_star):
-            raise ValueError("beta_star must be finite")
+            raise ConfigError("beta_star must be finite")
         if not self.se > 0:
-            raise ValueError(f"standard error must be positive, got {self.se}")
+            raise ConfigError(f"standard error must be positive, got {self.se}")
         z_quantile(self.confidence_level)
 
     @property
@@ -239,9 +239,9 @@ class ApparentEffect:
         scale, so slightly rounded inputs give a slightly rounded ``se``.
         """
         if not 0 < ci_low < ci_high:
-            raise ValueError("need 0 < ci_low < ci_high on the ratio scale")
+            raise ConfigError("need 0 < ci_low < ci_high on the ratio scale")
         if cost_ratio <= 0:
-            raise ValueError("cost_ratio must be positive")
+            raise ConfigError("cost_ratio must be positive")
         z = z_quantile(confidence_level)
         se = (math.log(ci_high) - math.log(ci_low)) / (2.0 * z)
         return cls(beta_star=math.log(cost_ratio), se=se, confidence_level=confidence_level)
@@ -294,9 +294,9 @@ def gamma_arms_from_mean_ratio(mean_ratio: float, var_over_mean: float):
     for the confounder is not identified by (ratio, scale) alone.
     """
     if not mean_ratio > 0:
-        raise ValueError(f"mean ratio must be positive, got {mean_ratio}")
+        raise ConfigError(f"mean ratio must be positive, got {mean_ratio}")
     if not var_over_mean > 0:
-        raise ValueError(f"variance-to-mean ratio must be positive, got {var_over_mean}")
+        raise ConfigError(f"variance-to-mean ratio must be positive, got {var_over_mean}")
     control = GammaParams(shape=mean_ratio, scale=var_over_mean)
     treated = GammaParams(shape=1.0, scale=var_over_mean)
     return control, treated

@@ -37,7 +37,7 @@ import numpy as np
 from .censoring import cost_design, fit_cost, ipw_weights
 from .data import CostDataset
 from .diagnostics import _corr
-from .errors import CorrelationModelError, CostOverflowError, DidNotConvergeError
+from .errors import ConfigError, CorrelationModelError, CostOverflowError, DidNotConvergeError
 from .errors import EmptyFitError, EstimationError
 from .glm import expit, logit_scores
 from .sensitivity import (
@@ -99,13 +99,13 @@ class CIScenario:
         for arm, params in (("control", self.params_control), ("treated", self.params_treated)):
             check_params(self.family, params, "scenario", arm)
             if self.family is ConfounderFamily.POISSON and params.rate > _POISSON_RATE_MAX:
-                raise ValueError(f"rate {params.rate} of the {arm} arm is beyond numpy's sampler")
+                raise ConfigError(f"rate {params.rate} of the {arm} arm is beyond numpy's sampler")
         if self.n_per_arm < 4:
-            raise ValueError(f"n_per_arm must be at least 4, got {self.n_per_arm}")
+            raise ConfigError(f"n_per_arm must be at least 4, got {self.n_per_arm}")
         if not 0.0 <= self.censor_prob < 1.0:
-            raise ValueError(f"censor_prob must lie in [0, 1), got {self.censor_prob}")
+            raise ConfigError(f"censor_prob must lie in [0, 1), got {self.censor_prob}")
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         _set_correction(self, self.params_control, self.params_treated)
 
     @property
@@ -150,11 +150,11 @@ class CDScenario:
 
     def __post_init__(self):
         if self.n < 20:
-            raise ValueError(f"n must be at least 20, got {self.n}")
+            raise ConfigError(f"n must be at least 20, got {self.n}")
         if not 0.0 <= self.censor_prob < 1.0:
-            raise ValueError(f"censor_prob must lie in [0, 1), got {self.censor_prob}")
+            raise ConfigError(f"censor_prob must lie in [0, 1), got {self.censor_prob}")
         if self.seed < 0:
-            raise ValueError(f"seed must be nonnegative, got {self.seed}")
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         # An index beyond the float range saturates; _arm_mass rejects an arm it empties.
         with np.errstate(over="ignore", invalid="ignore"):
             marginals = _cd_marginal_params(self.family, self.phi1, self.phi2, self.phi3)
@@ -241,7 +241,7 @@ class PropensityScenario:
                     f"need exactly 3 correlations between U and Z, got {len(correlations)}"
                 )
         if self.n < 100:
-            raise ValueError(f"n must be at least 100, got {self.n}")
+            raise ConfigError(f"n must be at least 100, got {self.n}")
 
         matrix = np.eye(4)
         matrix[0, 1:] = matrix[1:, 0] = correlations
@@ -407,21 +407,21 @@ def _gauss_laguerre(alpha: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _arm_mass(weights: np.ndarray) -> float:
-    """Total quadrature weight of an arm; ValueError unless it is positive."""
+    """Total quadrature weight of an arm; ConfigError unless it is positive."""
     mass = float(weights.sum())
     if not mass > 0.0:
-        raise ValueError("phi1, phi2 and phi3 leave a treatment arm with no probability")
+        raise ConfigError("phi1, phi2 and phi3 leave a treatment arm with no probability")
     return mass
 
 
 def _arm_moments(joint: np.ndarray, arm: np.ndarray, u: np.ndarray) -> tuple[float, float]:
     """Mean and variance of U under quadrature weights ``joint * arm``;
-    ValueError unless the variance is positive."""
+    ConfigError unless the variance is positive."""
     mass = _arm_mass(joint * arm)
     m1 = float((joint * arm * u).sum()) / mass
     var = float((joint * arm * u * u).sum()) / mass - m1 * m1
     if not var > 0.0:
-        raise ValueError("phi1, phi2 and phi3 leave U without spread in a treatment arm")
+        raise ConfigError("phi1, phi2 and phi3 leave U without spread in a treatment arm")
     return m1, var
 
 

@@ -202,7 +202,7 @@ def test_spearman_method_is_rank_based():
 
 def test_report_validation_errors():
     ds, _, _ = _logistic_design(7, 100, [0.2, 0.2])
-    with pytest.raises(KeyError, match="z9"):
+    with pytest.raises(SchemaError, match="z9"):
         loo_correlation_report(ds, "z9")
     with pytest.raises(ValueError, match="method"):
         loo_correlation_report(ds, "z1", method="kendall")

@@ -11,6 +11,7 @@ from scipy.special import ndtri
 from costsense import (
     ApparentEffect,
     BernoulliParams,
+    ConfigError,
     ConfounderFamily,
     ConfounderModel,
     GammaParams,
@@ -74,7 +75,7 @@ def test_gamma_domain_boundary_raises():
 
 
 def test_log_mgf_rejects_mismatched_params():
-    with pytest.raises(TypeError):
+    with pytest.raises(ConfigError):
         log_mgf(ConfounderFamily.BERNOULLI, PoissonParams(rate=1.0), 0.5)
 
 
@@ -333,7 +334,7 @@ def test_gamma_arms_from_mean_ratio_convention():
 
 
 def test_confounder_model_rejects_mismatched_params():
-    with pytest.raises(TypeError):
+    with pytest.raises(ConfigError):
         ConfounderModel(
             family=ConfounderFamily.GAMMA,
             params_control=BernoulliParams(prevalence=0.5),

@@ -13,6 +13,7 @@ from costsense import (
     BernoulliParams,
     CDScenario,
     CIScenario,
+    ConfigError,
     ConfounderFamily,
     ConfounderModel,
     CorrelationModelError,
@@ -380,7 +381,7 @@ def test_scenario_validation():
         _bern_scenario(censor_prob=1.0)
     with pytest.raises(ValueError, match="seed"):
         _bern_scenario(seed=-1)
-    with pytest.raises(TypeError, match="BernoulliParams"):
+    with pytest.raises(ConfigError, match="BernoulliParams"):
         _bern_scenario(params_treated=PoissonParams(rate=1.0))
     with pytest.raises(ValueError, match="n must be"):
         _cd_scenario(n=10)
